@@ -280,7 +280,8 @@ def enumerate_direct_mapping(bnd_f, bnd_g, sigma, cap=200000):
             count *= len(c)
             if count > cap:
                 raise ResourceLimitError("too many candidate morphisms",
-                                         cap=cap)
+                                         cap=cap, estimate=count,
+                                         stage="enumerate_direct_mapping")
         for choice in product(*cands):
             amap = dict(zip(verts, choice))
             if all(frozenset(amap[v] for v in m) in bnd_g.total

@@ -23,8 +23,8 @@ from .laws import run_suite
 from .sset import SimplicialDistribution, mapping_simplicial, nerve_bundle, \
     validate_sset_map
 from .solve import EmpiricalModel, check_contextuality, \
-    decompose_noncontextual, theta_event, push_empirical, \
-    validate_empirical, verify_certificate
+    decompose_noncontextual, noncontextuality_lp, theta_event, \
+    push_empirical, validate_empirical, verify_certificate
 
 
 def _load(path):
@@ -218,16 +218,8 @@ def cmd_verify_certificate(args):
     model = load_model(args.model, scn)
     verdict_obj = _load(args.input)
     secs = global_sections(scn, cap=args.cap)
-    from .dist import ONE, ZERO
-    from .solve import LPProblem, verify_witness
-    keys = [s.key() for s in secs]
-    A = [[ONE] * len(secs)]
-    b = [ONE]
-    for m in scn.base.maximal:
-        for o in scn.sets[m]:
-            A.append([ONE if s.value_at(m) == o else ZERO for s in secs])
-            b.append(model.dists[m](o))
-    prob = LPProblem(A, b, columns=keys)
+    prob = noncontextuality_lp(scn, model, secs)
+    keys = prob.columns
     if verdict_obj.get("verdict") == "contextual":
         y = [rat(v) for v in verdict_obj["certificate"]["y"]]
         ok = verify_certificate(prob, y)

@@ -113,12 +113,6 @@ class SimplicialComplex:
             raise DomainError("simplex %s not in complex" % skey(sigma))
         return [t for t in self.simplices() if sigma <= t]
 
-    def generated_subcomplex(self, sigma):
-        sigma = frozenset(sigma)
-        if sigma not in self:
-            raise DomainError("simplex %s not in complex" % skey(sigma))
-        return SimplicialComplex([sigma])
-
     def dim(self):
         return max(len(m) for m in self.maximal) - 1
 
@@ -146,10 +140,6 @@ class SimplicialComplex:
 
     def dumps(self):
         return json.dumps(self.to_json(), sort_keys=True)
-
-
-def enumerate_simplices(cpx):
-    return list(cpx.simplices())
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +308,6 @@ def identity_relation(cpx):
     return SimplicialRelation(cpx, cpx,
                               {x: frozenset([x]) for x in cpx.vertices},
                               check=False)
-
-
-monad_unit = identity_relation
-monad_mult = mult_map
-
-
-def induced_simplex_map(rel, sigma):
-    sigma = frozenset(sigma)
-    if sigma not in rel.source:
-        raise DomainError("simplex not in the source complex")
-    return rel.induced(sigma)
 
 
 def kleisli_compose(rel1, rel2):

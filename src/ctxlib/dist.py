@@ -17,7 +17,10 @@ def rat(value):
     """Parse a rational from int/str/Fraction; exact, never float."""
     if isinstance(value, float):
         raise DomainError("floating point is not allowed in distributions")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError("not an exact rational: %r" % (value,)) from None
 
 
 def rat_str(q):

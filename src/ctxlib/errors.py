@@ -16,10 +16,13 @@ class PreconditionError(DomainError):
 class ResourceLimitError(RuntimeError):
     """An enumeration exceeded its configured cap.
 
-    Raised instead of truncating silently; carries the cap and the size
-    estimate that tripped it when known.
+    Raised instead of truncating silently; carries the cap, the size
+    estimate that tripped it when known, and the stage (the enumerating
+    function) that raised it.
     """
 
-    def __init__(self, message, cap=None):
+    def __init__(self, message, cap=None, estimate=None, stage=None):
         super().__init__(message)
         self.cap = cap
+        self.estimate = estimate
+        self.stage = stage

@@ -357,25 +357,6 @@ def tensor_event(f1, f2):
     return EventScenario(base, sets, tables)
 
 
-def tensor_event_morphism(m1, m2):
-    from .complexes import tensor_relation
-    src = tensor_event(m1.source, m2.source)
-    tgt = tensor_event(m1.target, m2.target)
-    rel = tensor_relation(m1.relation, m2.relation)
-    comps = {}
-    for sigma in tgt.base.simplices():
-        p1 = frozenset(unpair_name(v)[0] for v in sigma)
-        p2 = frozenset(unpair_name(v)[1] for v in sigma)
-        a1 = m1.component(p1)
-        a2 = m2.component(p2)
-        u1 = m1.relation.induced(p1)
-        u2 = m2.relation.induced(p2)
-        comps[sigma] = {
-            pair_name(s, t): pair_name(a1[s], a2[t])
-            for s in m1.source.sets[u1] for t in m2.source.sets[u2]}
-    return EventMorphism(src, tgt, rel, comps)
-
-
 # ---------------------------------------------------------------------------
 # Global sections
 
@@ -426,7 +407,8 @@ def global_sections(scn, cap=10 ** 6):
                     nxt.append(merged)
             if len(nxt) > cap:
                 raise ResourceLimitError(
-                    "more than %d partial sections" % cap, cap=cap)
+                    "more than %d partial sections" % cap, cap=cap,
+                    estimate=len(nxt), stage="global_sections")
         partials = nxt
     out = []
     for assignment in partials:
@@ -505,8 +487,11 @@ class MappingElement:
 def _pi_choices(domain_cpx, sigma, cap):
     verts = sorted(sigma)
     sims = list(domain_cpx.simplices())
-    if len(sims) ** len(verts) > cap:
-        raise ResourceLimitError("too many relation candidates", cap=cap)
+    count = len(sims) ** len(verts)
+    if count > cap:
+        raise ResourceLimitError("too many relation candidates", cap=cap,
+                                 estimate=count,
+                                 stage="mapping_event_scenario")
     for combo in product(sims, repeat=len(verts)):
         union = frozenset().union(*combo)
         if union in domain_cpx:
@@ -545,10 +530,11 @@ def mapping_event_scenario(scn_f, scn_g, cap=200000):
             u = frozenset().union(*pi.values())
             dom = scn_f.sets[u]
             codom = scn_g.sets[sigma]
-            if len(codom) ** len(dom) > cap:
+            count = len(codom) ** len(dom)
+            if count > cap:
                 raise ResourceLimitError(
                     "function space %d^%d over cap" % (len(codom), len(dom)),
-                    cap=cap)
+                    cap=cap, estimate=count, stage="mapping_event_scenario")
             for images in product(codom, repeat=len(dom)):
                 alpha = dict(zip(dom, images))
                 if _alpha_extends(scn_f, scn_g, sigma, pi, alpha):

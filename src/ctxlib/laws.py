@@ -373,7 +373,6 @@ def check_mapping(trials, seed):
             failures.append({"trial": t, "law": "mapping-built"})
             t += 1
             continue
-        t += 1
         if not validate_event_scenario(mapped)["ok"]:
             failures.append({"trial": t, "law": "mapping-valid"})
 
@@ -390,6 +389,7 @@ def check_mapping(trials, seed):
                                           amap).key())
         if direct != set(M2.sets[sigma]):
             failures.append({"trial": t, "law": "mapping-direct-agreement"})
+        t += 1
     return failures
 
 

@@ -1,10 +1,14 @@
 """Empirical models and the exact contextuality decision procedure.
 
 Feasibility of the noncontextuality polytope is decided by a phase-1 simplex
-method over the rationals with Bland's anti-cycling rule.  Infeasible systems
-come with a Farkas certificate (a rational dual vector) that third parties can
-re-verify without running the solver.
+method with Bland's anti-cycling rule on a fraction-free tableau: integer
+rows over one positive denominator each.  Infeasible systems come with a
+Farkas certificate (a rational dual vector) that third parties can re-verify
+without running the solver.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .complexes import skey
 from .dist import ONE, ZERO, Dist, mixture, pushforward, rat, rat_str
@@ -13,14 +17,18 @@ from .events import global_sections
 from .sset import SimplicialDistribution, sections, zeta_inverse
 
 
+def _exact(v):
+    return v if isinstance(v, (Fraction, int)) else rat(v)
+
+
 class LPProblem:
     """Equality constraints A x = b over nonnegative rational variables."""
 
     __slots__ = ("A", "b", "columns")
 
     def __init__(self, A, b, columns=None):
-        self.A = [[rat(v) for v in row] for row in A]
-        self.b = [rat(v) for v in b]
+        self.A = [[_exact(v) for v in row] for row in A]
+        self.b = [_exact(v) for v in b]
         if len(self.A) != len(self.b):
             raise DomainError("matrix and right-hand side sizes differ")
         width = {len(row) for row in self.A}
@@ -36,79 +44,110 @@ class LPProblem:
         return len(self.A[0]) if self.A else 0
 
 
+def _reduced(nums, den):
+    """The row nums/den with the common factor of its integers removed."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
 def lp_feasible(prob):
     """Decide A x = b, x >= 0 exactly.
 
     Returns ("feasible", x) or ("infeasible", y) where y is a Farkas
     certificate: yA <= 0 on every column and y.b > 0.
+
+    Tableau row i is rows[i] / dens[i], the objective row obj / oden: lists
+    of ints over a positive denominator, gcd-reduced after every update.
     """
     m = len(prob.A)
     n = prob.ncols
     if m == 0:
         return "feasible", [ZERO] * n
-    sign = [ONE if prob.b[i] >= 0 else -ONE for i in range(m)]
-    rows = []
-    for i in range(m):
-        row = [sign[i] * v for v in prob.A[i]]
-        row += [ONE if k == i else ZERO for k in range(m)]
-        row.append(sign[i] * prob.b[i])
+    sign = [1 if b >= 0 else -1 for b in prob.b]
+    rows, dens = [], []
+    for i, (a, b) in enumerate(zip(prob.A, prob.b)):
+        den = lcm(b.denominator, *(v.denominator for v in a))
+        row = [sign[i] * v.numerator * (den // v.denominator) for v in [*a, b]]
+        row[n:n] = [den if k == i else 0 for k in range(m)]
         rows.append(row)
-    obj = [sum(rows[i][j] for i in range(m)) for j in range(n + m + 1)]
-    basis = [n + i for i in range(m)]
+        dens.append(den)
+    oden = lcm(*dens)
+    scale = [oden // den for den in dens]
+    obj, oden = _reduced([sum(row[j] * f for row, f in zip(rows, scale))
+                          for j in range(n + m + 1)], oden)
+    basis = list(range(n, n + m))
     while True:
         enter = next((j for j in range(n) if obj[j] > 0), None)
         if enter is None:
             break
-        best = None
-        for i in range(m):
-            coef = rows[i][enter]
+        # minimum ratio rhs/coef over positive coef (the row denominator
+        # cancels), compared by cross-multiplying; ties go to the smallest
+        # basis index
+        leave = None
+        for i, row in enumerate(rows):
+            coef = row[enter]
             if coef > 0:
-                ratio = rows[i][-1] / coef
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+                if leave is None:
+                    leave, best_rhs, best_coef = i, row[-1], coef
+                    continue
+                lhs, rhs = row[-1] * best_coef, best_rhs * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_coef = i, row[-1], coef
+        if leave is None:
             # the phase-1 objective is bounded below by zero, so an
             # unbounded entering column cannot happen; guard anyway
             raise DomainError("phase-1 simplex detected an unbounded ray")
-        _, leave = best
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                coef = rows[i][enter]
-                rows[i] = [a - coef * b for a, b in zip(rows[i], rows[leave])]
-        if obj[enter] != 0:
-            coef = obj[enter]
-            obj = [a - coef * b for a, b in zip(obj, rows[leave])]
+        prow, piv = _reduced(rows[leave], rows[leave][enter])
+        rows[leave], dens[leave] = prow, piv
+        for i, row in enumerate(rows):
+            coef = row[enter]
+            if coef and i != leave:
+                rows[i], dens[i] = _reduced(
+                    [piv * a - coef * p for a, p in zip(row, prow)],
+                    dens[i] * piv)
+        coef = obj[enter]
+        if coef:
+            obj, oden = _reduced(
+                [piv * a - coef * p for a, p in zip(obj, prow)], oden * piv)
         basis[leave] = enter
     if obj[-1] > 0:
-        cert = [sign[i] * obj[n + i] for i in range(m)]
-        return "infeasible", cert
+        return "infeasible", [Fraction(sign[i] * obj[n + i], oden)
+                              for i in range(m)]
     x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rows[i][-1]
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(rows[i][-1], dens[i])
     return "feasible", x
 
 
 def verify_certificate(prob, y):
-    """Exact re-check of a Farkas certificate against the system."""
+    """Exact re-check of a Farkas certificate against the system: yA <= 0
+    on every column and y.b > 0, summing over nonzero terms only."""
     y = [rat(v) for v in y]
     if len(y) != len(prob.A):
         return False
-    for j in range(prob.ncols):
-        if sum(y[i] * prob.A[i][j] for i in range(len(y))) > 0:
-            return False
-    return sum(y[i] * prob.b[i] for i in range(len(y))) > 0
+    ya = [0] * prob.ncols
+    for yi, row in zip(y, prob.A):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    ya[j] += yi * a
+    if any(v > 0 for v in ya):
+        return False
+    return sum(yi * bi for yi, bi in zip(y, prob.b) if yi) > 0
 
 
 def verify_witness(prob, x):
+    """Exact re-check of a feasible point: x >= 0 and A x = b, summing over
+    the support of x only."""
     x = [rat(v) for v in x]
     if len(x) != prob.ncols or any(v < 0 for v in x):
         return False
-    return all(sum(row[j] * x[j] for j in range(prob.ncols)) == prob.b[i]
-               for i, row in enumerate(prob.A))
+    support = [(j, v) for j, v in enumerate(x) if v]
+    return all(sum(row[j] * v for j, v in support) == b
+               for row, b in zip(prob.A, prob.b))
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +179,11 @@ class EmpiricalModel:
         Raises on disagreement; validate_empirical reports instead.
         """
         if self._derived is None:
-            out = {}
-            for sigma in self.scn.base.simplices():
-                for m in self.scn.base.maximal:
-                    if sigma <= m:
-                        res = self.scn.restriction_map(m, sigma)
-                        q = pushforward(lambda s, _r=res: _r[s], self.dists[m])
-                        if sigma in out and out[sigma] != q:
-                            raise DomainError(
-                                "incompatible marginals at %s" % skey(sigma))
-                        out[sigma] = q
-            self._derived = out
+            report = validate_empirical(self.scn, self.dists)
+            if not report["ok"]:
+                raise DomainError("incompatible marginals at %s"
+                                  % report["failures"][0]["face"])
+            self._derived = report["derived"]
         return self._derived
 
     def at(self, sigma):
@@ -167,9 +200,14 @@ class EmpiricalModel:
 
     @classmethod
     def from_json(cls, scn, obj):
+        from .complexes import simplex_from_key
+        tables = obj["distributions"]
+        if not isinstance(tables, dict) or \
+                not all(isinstance(t, dict) for t in tables.values()):
+            raise DomainError("distributions must map context keys to "
+                              "objects of outcome weights")
         dists = {}
-        for key, table in obj["distributions"].items():
-            from .complexes import simplex_from_key
+        for key, table in tables.items():
             sigma = simplex_from_key(key)
             dists[sigma] = Dist({o: rat(v) for o, v in table.items()})
         return cls(scn, dists)
@@ -233,15 +271,18 @@ class Verdict:
     """Outcome of the feasibility decision, with re-checkable evidence."""
 
     __slots__ = ("contextual", "witness", "certificate", "problem",
-                 "section_keys")
+                 "sections")
 
-    def __init__(self, contextual, witness, certificate, problem,
-                 section_keys):
+    def __init__(self, contextual, witness, certificate, problem, sections):
         self.contextual = contextual
         self.witness = witness            # Dist over section keys, or None
         self.certificate = certificate    # list of Fractions, or None
         self.problem = problem
-        self.section_keys = section_keys
+        self.sections = sections          # the LP's variables, in order
+
+    @property
+    def section_keys(self):
+        return self.problem.columns
 
     def to_json(self):
         if self.contextual:
@@ -253,40 +294,42 @@ class Verdict:
                             for k, w in self.witness.items()}}
 
 
-def _verdict_cert(prob, keys, cert):
-    return Verdict(True, None, cert, prob, keys)
+def _decide(prob, secs):
+    """Solve the LP over the sections secs and re-check the answer."""
+    status, data = lp_feasible(prob)
+    if status == "infeasible":
+        if not verify_certificate(prob, data):
+            raise DomainError("solver produced a non-verifying certificate")
+        return Verdict(True, None, data, prob, secs)
+    if not verify_witness(prob, data):
+        raise DomainError("solver produced a non-verifying witness")
+    support = [(k, w) for k, w in zip(prob.columns, data) if w > 0]
+    if not support:   # zero-section systems are caught as infeasible above
+        raise DomainError("feasible solution with empty support")
+    return Verdict(False, Dist(support), None, prob, secs)
 
 
-def check_contextuality(scn, model, cap=10 ** 6):
-    """Decide whether a compatible model extends to a global distribution.
-
-    Variables are weights over global sections; constraints say the mixture
-    of deterministic models reproduces the model on every maximal simplex.
-    """
-    report = validate_empirical(scn, model.dists)
-    if not report["ok"]:
-        raise DomainError("model is not compatible: %s"
-                          % report["failures"][:3])
-    secs = global_sections(scn, cap=cap)
-    keys = [s.key() for s in secs]
+def noncontextuality_lp(scn, model, secs):
+    """Weights over the global sections secs that sum to one and whose
+    mixture of deterministic models reproduces the model on every maximal
+    simplex."""
     A = [[ONE] * len(secs)]
     b = [ONE]
     for m in scn.base.maximal:
         for o in scn.sets[m]:
             A.append([ONE if s.value_at(m) == o else ZERO for s in secs])
             b.append(model.dists[m](o))
-    prob = LPProblem(A, b, columns=keys)
-    status, data = lp_feasible(prob)
-    if status == "infeasible":
-        if not verify_certificate(prob, data):
-            raise DomainError("solver produced a non-verifying certificate")
-        return _verdict_cert(prob, keys, data)
-    if not verify_witness(prob, data):
-        raise DomainError("solver produced a non-verifying witness")
-    support = [(keys[j], data[j]) for j in range(len(keys)) if data[j] > 0]
-    if not support:   # zero-section systems are caught as infeasible above
-        raise DomainError("feasible solution with empty support")
-    return Verdict(False, Dist(support), None, prob, keys)
+    return LPProblem(A, b, columns=[s.key() for s in secs])
+
+
+def check_contextuality(scn, model, cap=10 ** 6):
+    """Decide whether a compatible model extends to a global distribution."""
+    report = validate_empirical(scn, model.dists)
+    if not report["ok"]:
+        raise DomainError("model is not compatible: %s"
+                          % report["failures"][:3])
+    secs = global_sections(scn, cap=cap)
+    return _decide(noncontextuality_lp(scn, model, secs), secs)
 
 
 def check_contextuality_simplicial(fmap, sd, cap=10 ** 6, full=False):
@@ -303,7 +346,6 @@ def check_contextuality_simplicial(fmap, sd, cap=10 ** 6, full=False):
         raise DomainError("invalid simplicial distribution: %s"
                           % report["failures"][:3])
     secs = sections(fmap, cap=cap)
-    keys = [s.key() for s in secs]
     X = fmap.target
     A = [[ONE] * len(secs)]
     b = [ONE]
@@ -317,16 +359,7 @@ def check_contextuality_simplicial(fmap, sd, cap=10 ** 6, full=False):
             for e in fibs.get((n, x), []):
                 A.append([ONE if s(n, x) == e else ZERO for s in secs])
                 b.append(sd[(n, x)](e))
-    prob = LPProblem(A, b, columns=keys)
-    status, data = lp_feasible(prob)
-    if status == "infeasible":
-        if not verify_certificate(prob, data):
-            raise DomainError("solver produced a non-verifying certificate")
-        return _verdict_cert(prob, keys, data)
-    if not verify_witness(prob, data):
-        raise DomainError("solver produced a non-verifying witness")
-    support = [(keys[j], data[j]) for j in range(len(keys)) if data[j] > 0]
-    return Verdict(False, Dist(support), None, prob, keys)
+    return _decide(LPProblem(A, b, columns=[s.key() for s in secs]), secs)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +419,7 @@ def decompose_noncontextual(mspace, sd, cap=10 ** 6):
         err.certificate = verdict.certificate
         err.problem = verdict.problem
         raise err
-    secs = {s.key(): s for s in sections(mspace.proj, cap=cap)}
+    secs = dict(zip(verdict.section_keys, verdict.sections))
     out = []
     for key, w in verdict.witness.items():
         out.append((w, zeta_inverse(mspace, secs[key])))

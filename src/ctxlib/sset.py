@@ -163,9 +163,8 @@ class SSetMap:
 
     def compose(self, other):
         """self after other."""
-        if other.target is not self.target and other.target != self.source:
-            if other.target != self.source:
-                raise CompositionError("simplicial maps do not compose")
+        if other.target != self.source:
+            raise CompositionError("simplicial maps do not compose")
         comp = {n: {x: self.comp[n][other.comp[n][x]]
                     for x in other.source.simp[n]}
                 for n in range(other.source.d + 1)}
@@ -458,7 +457,9 @@ def enumerate_sset_maps(X, Y, candidates, cap=10 ** 6):
                     q[(n, x)] = y
                     nxt.append(q)
             if len(nxt) > cap:
-                raise ResourceLimitError("map enumeration over cap", cap=cap)
+                raise ResourceLimitError("map enumeration over cap", cap=cap,
+                                         estimate=len(nxt),
+                                         stage="enumerate_sset_maps")
             partials = nxt
     out = []
     for p in partials:
@@ -884,7 +885,8 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
                     total += 1
                     if total > cap:
                         raise ResourceLimitError(
-                            "mapping space over cap", cap=cap)
+                            "mapping space over cap", cap=cap,
+                            estimate=total, stage="mapping_simplicial")
         level.sort(key=lambda t: (t[0], t[1], t[2].key()))
         names = []
         for k, (y, x, alpha) in enumerate(level):

@@ -1,5 +1,7 @@
 """Independent oracles used by the tests: exact convex-hull membership by
-brute-force subset enumeration, and coordinate vectors for empirical models.
+brute-force subset enumeration, coordinate vectors for empirical models, and
+the dense Fraction phase-1 simplex that the library's integer tableau must
+agree with exactly.
 
 These deliberately avoid the library's LP solver so that they can serve as a
 cross-check on it.
@@ -7,6 +9,9 @@ cross-check on it.
 
 from fractions import Fraction
 from itertools import combinations
+
+from ctxlib.dist import ONE, ZERO
+from ctxlib.errors import DomainError
 
 
 def model_vector(model, coords):
@@ -68,3 +73,59 @@ def in_hull(target, vertices):
             if sol is not None and all(l >= 0 for l in sol):
                 return True
     return False
+
+
+def lp_feasible_fraction(prob):
+    """Decide A x = b, x >= 0 exactly.
+
+    Returns ("feasible", x) or ("infeasible", y) where y is a Farkas
+    certificate: yA <= 0 on every column and y.b > 0.
+    """
+    m = len(prob.A)
+    n = prob.ncols
+    if m == 0:
+        return "feasible", [ZERO] * n
+    sign = [ONE if prob.b[i] >= 0 else -ONE for i in range(m)]
+    rows = []
+    for i in range(m):
+        row = [sign[i] * v for v in prob.A[i]]
+        row += [ONE if k == i else ZERO for k in range(m)]
+        row.append(sign[i] * prob.b[i])
+        rows.append(row)
+    obj = [sum(rows[i][j] for i in range(m)) for j in range(n + m + 1)]
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n) if obj[j] > 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            coef = rows[i][enter]
+            if coef > 0:
+                ratio = rows[i][-1] / coef
+                if best is None or ratio < best[0] or \
+                        (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            # the phase-1 objective is bounded below by zero, so an
+            # unbounded entering column cannot happen; guard anyway
+            raise DomainError("phase-1 simplex detected an unbounded ray")
+        _, leave = best
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                coef = rows[i][enter]
+                rows[i] = [a - coef * b for a, b in zip(rows[i], rows[leave])]
+        if obj[enter] != 0:
+            coef = obj[enter]
+            obj = [a - coef * b for a, b in zip(obj, rows[leave])]
+        basis[leave] = enter
+    if obj[-1] > 0:
+        cert = [sign[i] * obj[n + i] for i in range(m)]
+        return "infeasible", cert
+    x = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rows[i][-1]
+    return "feasible", x

@@ -157,6 +157,23 @@ class TestCheckAndVerify:
                      "--model", pr_model]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m["distributions"]["x1,y1"].update({"0,0": "abc"}),
+        lambda m: m["distributions"]["x1,y1"].update({"0,0": "1/0"}),
+        lambda m: m.update(
+            {"distributions": sorted(m["distributions"].items())}),
+    ], ids=["weight-abc", "weight-1-over-0", "distributions-list"])
+    def test_malformed_model_is_invalid_input(self, capsys, tmp_path, chsh,
+                                              mutate):
+        model = json.loads(json.dumps(
+            {"kind": "model", "distributions": PR_BOX_TABLE}))
+        mutate(model)
+        bad = write(tmp_path, "bad.json", model)
+        assert main(["check", "--scenario", chsh, "--model", bad]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
+
     def test_noncontextual_witness_verifies(self, capsys, tmp_path, path1):
         model = write(tmp_path, "m.json", PATH_MODEL)
         vpath = str(tmp_path / "verdict.json")

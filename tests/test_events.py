@@ -6,7 +6,8 @@ from conftest import (CHSH_CONTEXTS, PATH1_CONTEXTS, standard,
                       triangle_parity_scn)
 from ctxlib.complexes import (SimplicialComplex, identity_relation, skey,
                               SimplicialRelation)
-from ctxlib.errors import DomainError
+from ctxlib import laws
+from ctxlib.errors import DomainError, ResourceLimitError
 from ctxlib.events import (EventMorphism, EventScenario, cover_profile,
                            compose_event_morphisms, elements, element_name,
                            event_presheaf, global_sections,
@@ -97,6 +98,13 @@ class TestSections:
 
     def test_triangle_parity_has_none(self, triangle_scn):
         assert global_sections(triangle_scn) == []
+
+    def test_cap_names_stage_and_estimate(self, chsh_scn):
+        with pytest.raises(ResourceLimitError) as exc:
+            global_sections(chsh_scn, cap=2)
+        err = exc.value
+        assert err.cap == 2 and err.estimate == 4
+        assert err.stage == "global_sections"
 
     def test_section_values_match_assignment(self, path_scn):
         sec = global_sections(path_scn)[0]
@@ -193,3 +201,10 @@ class TestMapping:
 
     def test_mapping_suite(self):
         assert check_mapping(10, seed=5) == []
+
+    def test_mapping_failures_name_their_trial(self, monkeypatch):
+        monkeypatch.setattr(laws, "validate_event_scenario",
+                            lambda scn: {"ok": False})
+        failures = check_mapping(2, seed=5)
+        assert [f["trial"] for f in failures
+                if f["law"] == "mapping-valid"] == [0, 1]

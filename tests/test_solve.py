@@ -6,11 +6,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PR_BOX_TABLE, model_of, standard, triangle_parity_scn
+from ctxlib import solve
 from ctxlib.bundles import BundleScenario, to_event
 from ctxlib.complexes import SimplicialComplex, skey
-from ctxlib.dist import Dist, delta, mixture, pushforward
+from ctxlib.dist import Dist, delta, mixture, pushforward, rat_str
 from ctxlib.errors import DomainError, PreconditionError
 from ctxlib.events import elements, element_name, event_presheaf, global_sections
 from ctxlib.rand import make_rng, rand_dist, rand_path_model
@@ -26,7 +29,7 @@ from ctxlib.sset import (SSetMap, apply_operator, enumerate_det_morphisms,
                          sections, theta_id,
                          theta_simplicial, zeta, SimplicialDistribution,
                          validate_simplicial_distribution)
-from helpers import coordinates, in_hull, model_vector
+from helpers import coordinates, in_hull, lp_feasible_fraction, model_vector
 
 F = Fraction
 
@@ -83,6 +86,104 @@ class TestLP:
             else:
                 assert not planted
                 assert verify_certificate(prob, data)
+
+
+ENTRY = st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3),
+                  st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def small_systems(draw):
+    """A x = b with up to 6 rows and 8 columns: zero rows and columns are
+    likely, and half the time b = A x0 for a nonnegative x0 with zeros, so
+    feasible and degenerate systems are common too."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 8))
+    A = [[draw(ENTRY) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = [draw(st.sampled_from([F(0), F(0), F(1), F(1, 2), F(3)]))
+              for _ in range(n)]
+        b = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in A]
+    else:
+        b = [draw(ENTRY) for _ in range(m)]
+    return LPProblem(A, b)
+
+
+def bell_scn(m):
+    return event_presheaf(standard(
+        [["a%d" % i, "b%d" % j] for i in range(m) for j in range(m)]))
+
+
+def serialized(status, data, keys):
+    """The JSON the CLI would print for this answer."""
+    if status == "infeasible":
+        return {"verdict": "contextual",
+                "certificate": {"y": [rat_str(v) for v in data]}}
+    return {"verdict": "noncontextual",
+            "witness": {k: rat_str(v) for k, v in zip(keys, data) if v > 0}}
+
+
+class TestIntegerTableau:
+    """The integer-row tableau against the dense Fraction tableau it
+    replaced (helpers.lp_feasible_fraction): same pivots, same answers."""
+
+    @given(small_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_fraction_tableau(self, prob):
+        status, data = lp_feasible(prob)
+        assert (status, data) == lp_feasible_fraction(prob)
+        assert all(type(v) is Fraction for v in data)
+        if status == "feasible":
+            assert verify_witness(prob, data)
+        else:
+            assert verify_certificate(prob, data)
+
+    def test_pr_box_certificate_identical(self, chsh_scn):
+        verdict = check_contextuality(chsh_scn,
+                                      model_of(chsh_scn, PR_BOX_TABLE))
+        oracle = lp_feasible_fraction(verdict.problem)
+        assert oracle[0] == "infeasible"
+        assert verdict.to_json() == serialized(*oracle, verdict.section_keys)
+
+    def test_bell_3x3_mixture_witness_identical(self):
+        scn = bell_scn(3)
+        secs = global_sections(scn)
+        uniform = F(1, 3 * len(secs))
+        weights = {s.key(): uniform for s in secs}
+        for k in (3, 17, 40, 61):
+            weights[secs[k].key()] += F(1, 6)
+        verdict = check_contextuality(
+            scn, theta_event(scn, secs, Dist(weights)))
+        oracle = lp_feasible_fraction(verdict.problem)
+        assert oracle[0] == "feasible"
+        assert verdict.to_json() == serialized(*oracle, verdict.section_keys)
+
+    def test_flipped_certificate_entry_rejected(self, chsh_scn):
+        verdict = check_contextuality(chsh_scn,
+                                      model_of(chsh_scn, PR_BOX_TABLE))
+        y = list(verdict.certificate)
+        k = max(range(len(y)), key=lambda i: abs(y[i]))
+        y[k] = -y[k]
+        assert verify_certificate(verdict.problem, verdict.certificate)
+        assert not verify_certificate(verdict.problem, y)
+
+    def test_perturbed_witness_weight_rejected(self):
+        scn = bell_scn(2)
+        secs = global_sections(scn)
+        q = Dist([(secs[1].key(), F(1, 2)), (secs[6].key(), F(1, 2))])
+        verdict = check_contextuality(scn, theta_event(scn, secs, q))
+        x = [verdict.witness(k) for k in verdict.section_keys]
+        assert verify_witness(verdict.problem, x)
+        j, k = [i for i, v in enumerate(x) if v][:2]
+        moved = list(x)
+        moved[j] += F(1, 97)
+        moved[k] -= F(1, 97)
+        assert not verify_witness(verdict.problem, moved)
+        off = next(i for i, v in enumerate(x) if not v)
+        moved = list(x)
+        moved[off] += F(1, 97)
+        moved[j] -= F(1, 97)
+        assert not verify_witness(verdict.problem, moved)
 
 
 class TestEmpiricalModel:
@@ -292,6 +393,20 @@ class TestDecompose:
                             (w, delta(sec(n, y))))
             for key, terms in rebuilt.items():
                 assert mixture(terms) == sd[key]
+
+    def test_sections_enumerated_once(self, tiny_mapping, monkeypatch):
+        ms = tiny_mapping
+        secs = sections(ms.proj)
+        sd = theta_simplicial(ms.proj, secs, delta(secs[0].key()))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sections(*args, **kwargs)
+
+        monkeypatch.setattr(solve, "sections", counted)
+        assert len(decompose_noncontextual(ms, sd)) == 1
+        assert len(calls) == 1
 
     def test_decomposition_matches_mu_on_deltas(self, tiny_mapping):
         """The pairing mu is affine in its first argument: applied to a

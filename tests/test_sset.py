@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ctxlib.bundles import BundleScenario
 from ctxlib.complexes import SimplicialComplex
 from ctxlib.dist import Dist, delta, mixture
+from ctxlib.errors import CompositionError, ResourceLimitError
 from ctxlib.events import elements, event_presheaf, global_sections
 from ctxlib.sset import (DetMorphism, SimplicialDistribution, apply_operator,
                          codegen, coface, compare_nerve_mapping,
@@ -158,6 +159,25 @@ class TestDiscreteAndProduct:
         f = discrete_map(lambda v: "p", X, X)
         pm = product_sset_map(f, identity_sset_map(X))
         assert validate_sset_map(pm)["ok"]
+
+    def test_compose_rejects_mismatched_source(self):
+        X = discrete_sset(["x"], 1)
+        W = discrete_sset(["w"], 1)
+        Y = discrete_sset(["y"], 1)
+        f = discrete_map(lambda v: "y", X, Y)
+        g = discrete_map(lambda v: "y", W, Y)
+        with pytest.raises(CompositionError):
+            f.compose(g)
+
+
+class TestResourceLimits:
+    def test_mapping_space_cap_names_stage_and_estimate(self, tiny_pair):
+        nf, ng = tiny_pair
+        with pytest.raises(ResourceLimitError) as exc:
+            mapping_simplicial(nf, ng, cap=1)
+        err = exc.value
+        assert err.cap == 1 and err.estimate == 2
+        assert err.stage == "mapping_simplicial"
 
 
 @given(st.integers(0, 10 ** 6))
