@@ -20,8 +20,7 @@ from .events import EventMorphism, EventScenario, StandardScenario, \
     elements, event_presheaf, global_sections, mapping_event_scenario, \
     tensor_event, validate_event_morphism, validate_event_scenario
 from .laws import run_suite
-from .sset import SimplicialDistribution, mapping_simplicial, nerve_bundle, \
-    validate_sset_map
+from .sset import SimplicialDistribution, mapping_simplicial, nerve_bundle
 from .solve import EmpiricalModel, check_contextuality, \
     decompose_noncontextual, noncontextuality_lp, theta_event, \
     push_empirical, validate_empirical, verify_certificate
@@ -29,7 +28,10 @@ from .solve import EmpiricalModel, check_contextuality, \
 
 def _load(path):
     with open(path) as handle:
-        return json.load(handle)
+        obj = json.load(handle)
+    if not isinstance(obj, dict):
+        raise DomainError("file %s does not hold a JSON object" % path)
+    return obj
 
 
 def _emit(obj, out):
@@ -59,6 +61,24 @@ def load_model(path, scn):
     if obj.get("kind") != "model":
         raise DomainError("file %s does not hold a model" % path)
     return EmpiricalModel.from_json(scn, obj)
+
+
+def load_simplicial_distribution(path):
+    """A distribution on a mapping space: "<degree>:<simplex>" keys mapping
+    to objects of outcome weights, as SimplicialDistribution.to_json writes."""
+    tables = _load(path).get("distributions")
+    if not isinstance(tables, dict) or \
+            not all(isinstance(t, dict) for t in tables.values()):
+        raise DomainError("file %s: distributions must map simplex keys to "
+                          "objects of outcome weights" % path)
+    table = {}
+    for key, weights in tables.items():
+        n, sep, x = key.partition(":")
+        if not sep or not n.isdigit():
+            raise DomainError("distribution key %r is not <degree>:<simplex>"
+                              % key)
+        table[(int(n), x)] = Dist({o: rat(v) for o, v in weights.items()})
+    return SimplicialDistribution(table)
 
 
 def load_morphism(path):
@@ -244,12 +264,7 @@ def cmd_decompose(args):
     nf = nerve_bundle(bf, d=d)
     ng = nerve_bundle(bg, d=d)
     ms = mapping_simplicial(nf, ng, cap=args.cap)
-    dist_obj = _load(args.model)
-    table = {}
-    for key, tab in dist_obj["distributions"].items():
-        n, x = key.split(":", 1)
-        table[(int(n), x)] = Dist({o: rat(v) for o, v in tab.items()})
-    sd = SimplicialDistribution(table)
+    sd = load_simplicial_distribution(args.model)
     try:
         parts = decompose_noncontextual(ms, sd, cap=args.cap)
     except PreconditionError as err:
@@ -275,11 +290,12 @@ def build_parser():
         prog="ctx", description="scenario and contextuality toolkit")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, cap=False, truncate=False):
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--cap", type=int, default=10 ** 6)
-        p.add_argument("--truncate", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        if cap:
+            p.add_argument("--cap", type=int, default=10 ** 6)
+        if truncate:
+            p.add_argument("--truncate", type=int, default=None)
 
     p = sub.add_parser("validate")
     p.add_argument("input")
@@ -301,7 +317,7 @@ def build_parser():
 
     p = sub.add_parser("sections")
     p.add_argument("input")
-    common(p)
+    common(p, cap=True)
     p.set_defaults(func=cmd_sections)
 
     p = sub.add_parser("nerve-complex")
@@ -311,14 +327,14 @@ def build_parser():
 
     p = sub.add_parser("nerve")
     p.add_argument("input")
-    common(p)
+    common(p, truncate=True)
     p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("map")
     p.add_argument("--kind", required=True,
                    choices=["event", "bundle", "simplicial"])
     p.add_argument("inputs", nargs=2)
-    common(p)
+    common(p, cap=True, truncate=True)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("push")
@@ -330,20 +346,20 @@ def build_parser():
     p = sub.add_parser("check")
     p.add_argument("--scenario", required=True)
     p.add_argument("--model", required=True)
-    common(p)
+    common(p, cap=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify-certificate")
     p.add_argument("input")
     p.add_argument("--scenario", required=True)
     p.add_argument("--model", required=True)
-    common(p)
+    common(p, cap=True)
     p.set_defaults(func=cmd_verify_certificate)
 
     p = sub.add_parser("decompose")
     p.add_argument("--scenario", required=True)
     p.add_argument("--model", required=True)
-    common(p)
+    common(p, cap=True, truncate=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("laws")
@@ -352,6 +368,7 @@ def build_parser():
                             "mapping"])
     p.add_argument("--trials", type=int, default=100)
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_laws)
     return parser
 
@@ -362,8 +379,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except ResourceLimitError as err:
-        print(json.dumps({"error": "resource-limit", "detail": str(err)}),
-              file=sys.stderr)
+        print(json.dumps({"error": "resource-limit", "detail": str(err),
+                          "stage": err.stage, "estimate": err.estimate,
+                          "cap": err.cap}), file=sys.stderr)
         return 3
     except (DomainError, FileNotFoundError, KeyError,
             json.JSONDecodeError) as err:

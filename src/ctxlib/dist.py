@@ -1,8 +1,8 @@
 """Finite-support exact-rational distributions with the gluing operation.
 
-Elements can be any hashable values; canonical keys (used for ordering,
-equality, and nesting) are derived structurally, so a distribution over
-distributions works out of the box.
+Elements can be any hashable values and are told apart by value.  Canonical
+string keys, derived structurally, fix the order of the atoms and the
+serialized form, so a distribution over distributions works out of the box.
 """
 
 from fractions import Fraction
@@ -30,7 +30,10 @@ def rat_str(q):
 
 
 def element_key(x):
-    """Canonical string key of a support element."""
+    """Canonical string key of a support element, for ordering and output.
+
+    Distinct values can share a key (1 and "1", or ("0,0", "1") and
+    ("0", "0,1")), so atoms are never identified by it."""
     if isinstance(x, Dist):
         return x.canonical()
     if isinstance(x, tuple):
@@ -49,23 +52,17 @@ class Dist:
         if isinstance(weights, dict):
             weights = weights.items()
         acc = {}
-        keyed = {}
         for x, w in weights:
             w = rat(w)
             if w < 0:
                 raise DomainError("negative weight %s" % w)
-            k = element_key(x)
-            if k in keyed:
-                acc[k] += w
-            else:
-                keyed[k] = x
-                acc[k] = w
+            acc[x] = acc.get(x, ZERO) + w
         total = sum(acc.values(), ZERO)
         if total != 1:
             raise DomainError("weights sum to %s, not 1" % total)
-        self._items = tuple((keyed[k], acc[k])
-                            for k in sorted(acc) if acc[k] > 0)
-        self._index = {element_key(x): w for x, w in self._items}
+        self._index = {x: w for x, w in acc.items() if w > 0}
+        self._items = tuple(sorted(self._index.items(),
+                                   key=lambda item: element_key(item[0])))
         self._canon = None
 
     def items(self):
@@ -75,7 +72,7 @@ class Dist:
         return tuple(x for x, _ in self._items)
 
     def __call__(self, x):
-        return self._index.get(element_key(x), ZERO)
+        return self._index.get(x, ZERO)
 
     def canonical(self):
         if self._canon is None:
@@ -85,10 +82,10 @@ class Dist:
         return self._canon
 
     def __eq__(self, other):
-        return isinstance(other, Dist) and self.canonical() == other.canonical()
+        return isinstance(other, Dist) and self._index == other._index
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash(frozenset(self._index.items()))
 
     def __repr__(self):
         return "Dist(%s)" % self.canonical()
@@ -154,7 +151,7 @@ def glue(f, g, p, q):
         z = f(x)
         denom = pf(z)
         for y, wy in q.items():
-            if element_key(g(y)) == element_key(z):
+            if g(y) == z:
                 out.append(((x, y), wx * wy / denom))
     return Dist(out)
 

@@ -9,7 +9,7 @@ mapping scenario Map(f,g), the nerve comparison maps, and the convex map mu.
 
 from itertools import combinations_with_replacement, product
 
-from .complexes import nonempty_subsets, pair_name, skey, unpair_name
+from .complexes import nonempty_subsets, pair_name, skey
 from .dist import Dist, delta, mixture, product_dist, pushforward
 from .errors import CompositionError, DomainError, ResourceLimitError
 
@@ -303,34 +303,41 @@ def discrete_map(func, X, Y):
                           for n in range(X.d + 1)}, check=False)
 
 
-def product_sset(X, Y):
-    d = min(X.d, Y.d)
+def _pair_sset(X, Y, d, keep=None):
+    """The simplicial set of pairs (a, b) of degree-n simplices of X and Y,
+    for n <= d, with faces and degeneracies taken componentwise; keep(n, a, b)
+    optionally restricts the pairs.  The payload decodes an id to (a, b)."""
     simp = {}
-    face = {}
-    degen = {}
     payload = {}
     for n in range(d + 1):
         ids = []
-        for x in X.simp[n]:
-            for y in Y.simp[n]:
-                pid = pair_name(x, y)
-                ids.append(pid)
-                payload[(n, pid)] = (x, y)
+        for a in X.simp[n]:
+            for b in Y.simp[n]:
+                if keep is None or keep(n, a, b):
+                    pid = pair_name(a, b)
+                    ids.append(pid)
+                    payload[(n, pid)] = (a, b)
         simp[n] = tuple(ids)
+    face = {}
+    degen = {}
     for n in range(1, d + 1):
         face[n] = {}
         for pid in simp[n]:
-            x, y = payload[(n, pid)]
-            face[n][pid] = tuple(pair_name(X.dface(n, i, x), Y.dface(n, i, y))
+            a, b = payload[(n, pid)]
+            face[n][pid] = tuple(pair_name(X.dface(n, i, a), Y.dface(n, i, b))
                                  for i in range(n + 1))
     for n in range(d):
         degen[n] = {}
         for pid in simp[n]:
-            x, y = payload[(n, pid)]
+            a, b = payload[(n, pid)]
             degen[n][pid] = tuple(
-                pair_name(X.sdegen(n, j, x), Y.sdegen(n, j, y))
+                pair_name(X.sdegen(n, j, a), Y.sdegen(n, j, b))
                 for j in range(n + 1))
     return TruncatedSSet(d, simp, face, degen, payload)
+
+
+def product_sset(X, Y):
+    return _pair_sset(X, Y, min(X.d, Y.d))
 
 
 def product_sset_map(f1, f2):
@@ -558,38 +565,12 @@ def pullback_sset(fmap, pimap):
     if fmap.target != pimap.target:
         raise DomainError("pullback legs have different targets")
     E, Y = fmap.source, pimap.source
-    d = min(E.d, Y.d)
-    simp = {}
-    payload = {}
-    for n in range(d + 1):
-        ids = []
-        for e in E.simp[n]:
-            for y in Y.simp[n]:
-                if fmap(n, e) == pimap(n, y):
-                    pid = pair_name(e, y)
-                    ids.append(pid)
-                    payload[(n, pid)] = (e, y)
-        simp[n] = tuple(ids)
-    face = {}
-    degen = {}
-    for n in range(1, d + 1):
-        face[n] = {}
-        for pid in simp[n]:
-            e, y = payload[(n, pid)]
-            face[n][pid] = tuple(pair_name(E.dface(n, i, e), Y.dface(n, i, y))
-                                 for i in range(n + 1))
-    for n in range(d):
-        degen[n] = {}
-        for pid in simp[n]:
-            e, y = payload[(n, pid)]
-            degen[n][pid] = tuple(
-                pair_name(E.sdegen(n, j, e), Y.sdegen(n, j, y))
-                for j in range(n + 1))
-    P = TruncatedSSet(d, simp, face, degen, payload)
-    pe = SSetMap(P, E, {n: {pid: payload[(n, pid)][0] for pid in simp[n]}
-                        for n in range(d + 1)}, check=False)
-    py = SSetMap(P, Y, {n: {pid: payload[(n, pid)][1] for pid in simp[n]}
-                        for n in range(d + 1)}, check=False)
+    P = _pair_sset(E, Y, min(E.d, Y.d),
+                   lambda n, e, y: fmap(n, e) == pimap(n, y))
+    pe = SSetMap(P, E, {n: {pid: P.payload[(n, pid)][0] for pid in P.simp[n]}
+                        for n in range(P.d + 1)}, check=False)
+    py = SSetMap(P, Y, {n: {pid: P.payload[(n, pid)][1] for pid in P.simp[n]}
+                        for n in range(P.d + 1)}, check=False)
     return P, pe, py
 
 
@@ -767,41 +748,17 @@ def pullback_along_simplex(fmap, n, x, d):
     """Restrict a scenario f: E -> X to a degree-n simplex x of the base.
 
     Degree-m simplices are pairs (theta, e) with theta: [m] -> [n] monotone
-    and e an m-simplex of E lying over the operator action of theta on x.
+    and e an m-simplex of E lying over the operator action of theta on x:
+    the pairs of the standard n-simplex and E with that property.
     """
     E, X = fmap.source, fmap.target
-    simp = {}
-    payload = {}
-    for m in range(d + 1):
-        ids = []
-        for theta in monotone_maps(m, n):
-            below = apply_operator(X, n, x, theta)
-            tid = theta_id(theta)
-            for e in E.simp[m]:
-                if fmap(m, e) == below:
-                    pid = pair_name(tid, e)
-                    ids.append(pid)
-                    payload[(m, pid)] = (theta, e)
-        simp[m] = tuple(ids)
-    face = {}
-    degen = {}
-    for m in range(1, d + 1):
-        face[m] = {}
-        for pid in simp[m]:
-            theta, e = payload[(m, pid)]
-            face[m][pid] = tuple(
-                pair_name(theta_id(theta[:i] + theta[i + 1:]),
-                          E.dface(m, i, e))
-                for i in range(m + 1))
-    for m in range(d):
-        degen[m] = {}
-        for pid in simp[m]:
-            theta, e = payload[(m, pid)]
-            degen[m][pid] = tuple(
-                pair_name(theta_id(theta[:j + 1] + theta[j:]),
-                          E.sdegen(m, j, e))
-                for j in range(m + 1))
-    return TruncatedSSet(d, simp, face, degen, payload)
+    D = standard_simplex(n, d)
+    below = {(m, tid): apply_operator(X, n, x, theta)
+             for (m, tid), theta in D.payload.items()}
+    P = _pair_sset(D, E, d, lambda m, tid, e: fmap(m, e) == below[(m, tid)])
+    P.payload = {(m, pid): (D.payload[(m, tid)], e)
+                 for (m, pid), (tid, e) in P.payload.items()}
+    return P
 
 
 class MappingSpace:
@@ -810,22 +767,23 @@ class MappingSpace:
     A degree-n simplex over y (in the base of g) is a pair of an n-simplex x
     in the base of f and a fiberwise map alpha from the part of f over x to
     the part of g over y.  Simplices carry compact ids; payload decodes an id
-    to (y, x, alpha).
+    to (y, x, alpha).  mapping_simplicial fills in the simplices; the
+    pullbacks of f and g along base simplices are built once, on first use.
     """
 
     __slots__ = ("f", "g", "d", "sset", "proj", "ids", "payload",
                  "_px", "_py")
 
-    def __init__(self, f, g, d, sset, proj, ids, payload, px, py):
+    def __init__(self, f, g, d):
         self.f = f
         self.g = g
         self.d = d
-        self.sset = sset
-        self.proj = proj
-        self.ids = ids
-        self.payload = payload
-        self._px = px
-        self._py = py
+        self.sset = None
+        self.proj = None
+        self.ids = {}
+        self.payload = {}
+        self._px = {}
+        self._py = {}
 
     def pb_src(self, n, x):
         if (n, x) not in self._px:
@@ -836,6 +794,23 @@ class MappingSpace:
         if (n, y) not in self._py:
             self._py[(n, y)] = pullback_along_simplex(self.g, n, y, self.d)
         return self._py[(n, y)]
+
+    def simplex_id(self, n, y, x, value):
+        """The id of the degree-n simplex over y from x whose fiberwise map
+        sends each (phi, e) over x to (phi, value(m, phi, e)) over y."""
+        PX = self.pb_src(n, x)
+        comp = {}
+        for m in range(self.d + 1):
+            comp[m] = {}
+            for pid in PX.simp[m]:
+                phi, e = PX.payload[(m, pid)]
+                comp[m][pid] = pair_name(theta_id(phi), value(m, phi, e))
+        alpha = SSetMap(PX, self.pb_dst(n, y), comp, check=False)
+        sid = self.ids.get((n, y, x, alpha.key()))
+        if sid is None:
+            raise DomainError("no mapping-space simplex over %s from %s "
+                              "has this fiberwise map" % (y, x))
+        return sid
 
     def top_map(self, n, sid):
         """The degree-n top component of a simplex: e over x to e' over y."""
@@ -856,24 +831,20 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
         d = min(X.d, Y.d)
     if d > X.d or d > Y.d:
         raise DomainError("mapping truncation exceeds the scenario bounds")
-    px = {}
-    py = {}
-    ids = {}
-    payload = {}
+    ms = MappingSpace(f, g, d)
     simp = {}
     total = 0
     for n in range(d + 1):
         level = []
         for y in Y.simp[n]:
-            PY = py.setdefault((n, y), pullback_along_simplex(g, n, y, d))
+            PY = ms.pb_dst(n, y)
             bytheta = {}
             for m in range(d + 1):
                 for qid in PY.simp[m]:
                     theta, _ = PY.payload[(m, qid)]
                     bytheta.setdefault((m, theta), []).append(qid)
             for x in X.simp[n]:
-                PX = px.setdefault((n, x),
-                                   pullback_along_simplex(f, n, x, d))
+                PX = ms.pb_src(n, x)
 
                 def candidates(m, pid, _PX=PX, _bt=bytheta):
                     theta, _ = _PX.payload[(m, pid)]
@@ -892,32 +863,21 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
         for k, (y, x, alpha) in enumerate(level):
             sid = "m%d.%d" % (n, k)
             names.append(sid)
-            ids[(n, y, x, alpha.key())] = sid
-            payload[(n, sid)] = (y, x, alpha)
+            ms.ids[(n, y, x, alpha.key())] = sid
+            ms.payload[(n, sid)] = (y, x, alpha)
         simp[n] = tuple(names)
 
     def act(n, sid, theta, mdeg):
         """The contravariant action of theta: [mdeg] -> [n] on a simplex."""
-        y, x, alpha = payload[(n, sid)]
-        y2 = apply_operator(Y, n, y, theta)
-        x2 = apply_operator(X, n, x, theta)
-        PX2 = px.setdefault((mdeg, x2),
-                            pullback_along_simplex(f, mdeg, x2, d))
-        PY2 = py.setdefault((mdeg, y2),
-                            pullback_along_simplex(g, mdeg, y2, d))
-        PX = px[(n, x)]
-        PY = py[(n, y)]
-        comp = {m: {} for m in range(d + 1)}
-        for m in range(d + 1):
-            for pid in PX2.simp[m]:
-                phi, e = PX2.payload[(m, pid)]
-                composed = compose_theta(theta, phi)
-                src = pair_name(theta_id(composed), e)
-                qid = alpha(m, src)
-                _, e2 = PY.payload[(m, qid)]
-                comp[m][pid] = pair_name(theta_id(phi), e2)
-        alpha2 = SSetMap(PX2, PY2, comp, check=False)
-        return ids[(mdeg, y2, x2, alpha2.key())]
+        y, x, alpha = ms.payload[(n, sid)]
+
+        def value(m, phi, e):
+            src = pair_name(theta_id(compose_theta(theta, phi)), e)
+            _, e2 = alpha.target.payload[(m, alpha(m, src))]
+            return e2
+
+        return ms.simplex_id(mdeg, apply_operator(Y, n, y, theta),
+                             apply_operator(X, n, x, theta), value)
 
     face = {}
     degen = {}
@@ -929,37 +889,23 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
         degen[n] = {sid: tuple(act(n, sid, codegen(j, n), n + 1)
                                for j in range(n + 1))
                     for sid in simp[n]}
-    sset = TruncatedSSet(d, simp, face, degen, payload)
-    proj = SSetMap(sset, Y, {n: {sid: payload[(n, sid)][0]
-                                 for sid in simp[n]}
-                             for n in range(d + 1)}, check=False)
-    return MappingSpace(f, g, d, sset, proj, ids, payload, px, py)
+    ms.sset = TruncatedSSet(d, simp, face, degen, ms.payload)
+    ms.proj = SSetMap(ms.sset, Y, {n: {sid: ms.payload[(n, sid)][0]
+                                       for sid in simp[n]}
+                                   for n in range(d + 1)}, check=False)
+    return ms
 
 
 def zeta(mspace, det):
     """Turn a deterministic morphism f -> g into a section of Map(f, g)."""
-    f, g = mspace.f, mspace.g
-    Y = g.target
+    Y = mspace.g.target
     comp = {}
     for n in range(mspace.d + 1):
         comp[n] = {}
         for y in Y.simp[n]:
-            x = det.pi(n, y)
-            PX = mspace.pb_src(n, x)
-            PY = mspace.pb_dst(n, y)
-            acomp = {m: {} for m in range(mspace.d + 1)}
-            for m in range(mspace.d + 1):
-                for pid in PX.simp[m]:
-                    phi, e = PX.payload[(m, pid)]
-                    ybar = apply_operator(Y, n, y, phi)
-                    e2 = det.a[(m, e, ybar)]
-                    acomp[m][pid] = pair_name(theta_id(phi), e2)
-            alpha = SSetMap(PX, PY, acomp, check=False)
-            key = (n, y, x, alpha.key())
-            if key not in mspace.ids:
-                raise DomainError("morphism does not define a section at %s"
-                                  % y)
-            comp[n][y] = mspace.ids[key]
+            comp[n][y] = mspace.simplex_id(
+                n, y, det.pi(n, y),
+                lambda m, phi, e: det.a[(m, e, apply_operator(Y, n, y, phi))])
     return SSetMap(Y, mspace.sset, comp, check=False)
 
 
@@ -1013,21 +959,16 @@ def hom_tensor_to_mapping(f, g, h, det, mspace):
         for z in Z.simp[n]:
             x = pi1(n, z)
             y = XY.payload[(n, det.pi(n, z))][1]
-            PXg = mspace.pb_src(n, y)
-            PZh = mspace.pb_dst(n, z)
             for e in E.simp[n]:
                 if f(n, e) != x:
                     continue
-                comp = {m: {} for m in range(mspace.d + 1)}
-                for m in range(mspace.d + 1):
-                    for pid in PXg.simp[m]:
-                        phi, ftil = PXg.payload[(m, pid)]
-                        ephi = apply_operator(E, n, e, phi)
-                        zbar = apply_operator(Z, n, z, phi)
-                        val = det.a[(m, pair_name(ephi, ftil), zbar)]
-                        comp[m][pid] = pair_name(theta_id(phi), val)
-                alpha = SSetMap(PXg, PZh, comp, check=False)
-                b[(n, e, z)] = mspace.ids[(n, z, y, alpha.key())]
+
+                def value(m, phi, ftil):
+                    ephi = apply_operator(E, n, e, phi)
+                    zbar = apply_operator(Z, n, z, phi)
+                    return det.a[(m, pair_name(ephi, ftil), zbar)]
+
+                b[(n, e, z)] = mspace.simplex_id(n, z, y, value)
     return DetMorphism(f, mspace.proj, pi1, b)
 
 
@@ -1095,6 +1036,23 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
     NSp = Ng.target      # nerve space of the base of g
     NS = Nf.target
 
+    def l_value(entries, m, phi, ebar_id):
+        """The entry of l's fiberwise map at (phi, ebar) over a tuple of
+        morphism simplices: the top maps of the blocks phi cuts out."""
+        ebar = NGf.payload[(m, ebar_id)]
+        out = []
+        for k in range(1, m + 1):
+            gamma_k = ebar[k - 1]
+            if not gamma_k:
+                out.append(EMPTY)
+                continue
+            block = range(phi[k - 1] + 1, phi[k] + 1)
+            u = frozenset().union(
+                *[entries[i - 1] for i in block if entries[i - 1]])
+            elem_b = elems[elem_of[u]]
+            out.append(simplex_from_key(elem_b.alpha[skey(gamma_k)]))
+        return nerve_tuple_id(tuple(out))
+
     lcomp = {}
     for n in range(d + 1):
         lcomp[n] = {}
@@ -1105,30 +1063,9 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
                 dec[0] if dec else EMPTY for dec in decoded))
             xid = nerve_tuple_id(tuple(
                 elems[dec].domain if dec else EMPTY for dec in decoded))
-            PX = mspace.pb_src(n, xid)
-            PY = mspace.pb_dst(n, yid)
-            comp = {m: {} for m in range(d + 1)}
-            for m in range(d + 1):
-                for pid in PX.simp[m]:
-                    phi, ebar_id = PX.payload[(m, pid)]
-                    ebar = NGf.payload[(m, ebar_id)]
-                    out = []
-                    for k in range(1, m + 1):
-                        gamma_k = ebar[k - 1]
-                        if not gamma_k:
-                            out.append(EMPTY)
-                            continue
-                        block = range(phi[k - 1] + 1, phi[k] + 1)
-                        u = frozenset().union(
-                            *[entries[i - 1] for i in block
-                              if entries[i - 1]])
-                        elem_b = elems[elem_of[u]]
-                        out.append(simplex_from_key(
-                            elem_b.alpha[skey(gamma_k)]))
-                    comp[m][pid] = pair_name(theta_id(phi),
-                                             nerve_tuple_id(tuple(out)))
-            alpha = SSetMap(PX, PY, comp, check=False)
-            lcomp[n][tid] = mspace.ids[(n, yid, xid, alpha.key())]
+            lcomp[n][tid] = mspace.simplex_id(
+                n, yid, xid,
+                lambda m, phi, e: l_value(entries, m, phi, e))
     lmap = SSetMap(NG, mspace.sset, lcomp, check=False)
 
     t = {}

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from ctxlib.sset import (mapping_simplicial, nerve_bundle, sections,
                          theta_simplicial)
 from ctxlib.bundles import BundleScenario
 from ctxlib.complexes import SimplicialComplex
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(tmp_path, name, obj):
@@ -94,8 +98,10 @@ class TestSectionsAndTensor:
 
     def test_sections_cap_exhausted(self, capsys, chsh):
         assert main(["sections", chsh, "--cap", "2"]) == 3
-        err = capsys.readouterr().err
-        assert json.loads(err)["error"] == "resource-limit"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "resource-limit"
+        assert err["stage"] == "global_sections"
+        assert err["cap"] == 2 and err["estimate"] > 2
 
     def test_output_is_deterministic(self, capsys, path1, path2):
         _, first = run(capsys, ["tensor", path1, path2])
@@ -129,6 +135,22 @@ class TestMap:
         assert code == 0
         sizes = {k: len(v) for k, v in out["sets"].items()}
         assert sizes == {"u": 4, "v": 4, "u,v": 16}
+
+    def test_simplicial_kind_matches_golden_output(self, capsys, tmp_path):
+        """The m<n>.<k> ids are what `ctx decompose` reads, so their
+        numbering is pinned byte for byte."""
+        point = BundleScenario(SimplicialComplex([{"a1"}]),
+                               SimplicialComplex([{"u"}]), {"a1": "u"})
+        edge = BundleScenario(
+            SimplicialComplex([{"v0", "w0"}, {"v1", "w1"}]),
+            SimplicialComplex([{"v", "w"}]),
+            {"v0": "v", "v1": "v", "w0": "w", "w1": "w"})
+        f = write(tmp_path, "f.json", point.to_json())
+        g = write(tmp_path, "g.json", edge.to_json())
+        assert main(["map", "--kind", "simplicial", f, g,
+                     "--truncate", "2"]) == 0
+        golden = GOLDEN / "map_simplicial_point_edge.json"
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestCheckAndVerify:
@@ -173,6 +195,13 @@ class TestCheckAndVerify:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-input"
+
+    def test_flags_of_other_verbs_rejected(self, capsys, chsh, pr_model):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--scenario", chsh, "--model", pr_model,
+                  "--truncate", "3"])
+        assert exc.value.code == 2
+        assert "--truncate" in capsys.readouterr().err
 
     def test_noncontextual_witness_verifies(self, capsys, tmp_path, path1):
         model = write(tmp_path, "m.json", PATH_MODEL)
@@ -255,6 +284,20 @@ class TestDecompose:
         assert out["verdict"] == "noncontextual"
         total = sum(rat(p["weight"]) for p in out["decomposition"])
         assert total == 1
+
+    @pytest.mark.parametrize("payload", [
+        {"kind": "model", "distributions": []},
+        {"kind": "model", "distributions": {"m0.0": {"m0.0": "1"}}},
+        [{"kind": "model"}],
+    ], ids=["distributions-list", "key-without-degree", "top-level-list"])
+    def test_malformed_distribution_is_invalid_input(self, capsys, tmp_path,
+                                                     payload):
+        spec, _ = self._fixture(tmp_path)
+        bad = write(tmp_path, "bad.json", payload)
+        assert main(["decompose", "--scenario", spec, "--model", bad]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
 
 
 class TestLaws:

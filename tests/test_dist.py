@@ -39,6 +39,12 @@ class TestBasics:
         p = Dist([("a", F(1, 2)), ("a", F(1, 4)), ("b", F(1, 4))])
         assert p("a") == F(3, 4)
 
+    def test_atoms_are_told_apart_by_value(self):
+        p = Dist([(1, F(1, 2)), ("1", F(1, 2))])
+        assert len(p.support()) == 2
+        assert p(1) == p("1") == F(1, 2)
+        assert p != Dist({"1": F(1)})
+
     def test_zero_weights_dropped(self):
         p = Dist([("a", F(1)), ("b", F(0))])
         assert p.support() == ("a",)
@@ -88,6 +94,12 @@ class TestMonad:
         p = product_dist(Dist({"a": F(1, 2), "b": F(1, 2)}), delta("y"))
         assert p(("a", "y")) == F(1, 2)
 
+    def test_product_keeps_pairs_with_equal_keys_apart(self):
+        p = product_dist(Dist({"0,0": F(1, 2), "0": F(1, 2)}),
+                         Dist({"1": F(1, 2), "0,1": F(1, 2)}))
+        assert len(p.support()) == 4
+        assert p(("0,0", "1")) == p(("0", "0,1")) == F(1, 4)
+
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
        st.integers(0, 10 ** 6))
@@ -111,6 +123,13 @@ class TestGlue:
         assert m(("x2", "y1")) == F(1, 4)
         assert m(("x3", "y2")) == F(1, 2)
         assert len(m.support()) == 3
+
+    def test_values_with_equal_keys_are_not_glued(self):
+        f = {"x1": 1, "x2": "1"}.__getitem__
+        g = {"y1": 1, "y2": "1"}.__getitem__
+        half = Dist({"x1": F(1, 2), "x2": F(1, 2)})
+        m = glue(f, g, half, Dist({"y1": F(1, 2), "y2": F(1, 2)}))
+        assert m == Dist({("x1", "y1"): F(1, 2), ("x2", "y2"): F(1, 2)})
 
     def test_marginal_mismatch_rejected(self):
         with pytest.raises(PreconditionError):

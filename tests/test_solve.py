@@ -23,11 +23,10 @@ from ctxlib.solve import (EmpiricalModel, LPProblem, Verdict,
                           simplicial_of_empirical, theta_event,
                           validate_empirical, verify_certificate,
                           verify_witness)
-from ctxlib.sset import (SSetMap, apply_operator, enumerate_det_morphisms,
-                         mapping_simplicial, mu,
-                         nerve_bundle, nerve_tuple_id, pair_name,
-                         sections, theta_id,
-                         theta_simplicial, zeta, SimplicialDistribution,
+from ctxlib.sset import (apply_operator, enumerate_det_morphisms,
+                         mapping_simplicial, mu, nerve_bundle, nerve_tuple_id,
+                         sections, theta_simplicial, zeta,
+                         SimplicialDistribution,
                          validate_simplicial_distribution)
 from helpers import coordinates, in_hull, lp_feasible_fraction, model_vector
 
@@ -453,17 +452,9 @@ def triangle_mapping_distribution():
         ys = Y.payload[(n, y)]
         x_entries = tuple(frozenset(["p"]) if s else frozenset()
                           for s in ys)
-        xid = nerve_tuple_id(x_entries)
-        PX = ms.pb_src(n, xid)
-        PY = ms.pb_dst(n, y)
-        comp = {m: {} for m in range(3)}
-        for m in range(3):
-            for pid in PX.simp[m]:
-                theta, _ = PX.payload[(m, pid)]
-                comp[m][pid] = pair_name(theta_id(theta),
-                                         apply_operator(NGg, n, e, theta))
-        alpha = SSetMap(PX, PY, comp, check=False)
-        return ms.ids[(n, y, xid, alpha.key())]
+        return ms.simplex_id(
+            n, y, nerve_tuple_id(x_entries),
+            lambda m, theta, _: apply_operator(NGg, n, e, theta))
 
     table = {}
     for n in range(3):

@@ -1,16 +1,19 @@
 """Truncated simplicial sets, nerve spaces, the mapping scenario, and the
 comparison maps."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxlib import sset
 from ctxlib.bundles import BundleScenario
 from ctxlib.complexes import SimplicialComplex
 from ctxlib.dist import Dist, delta, mixture
-from ctxlib.errors import CompositionError, ResourceLimitError
+from ctxlib.errors import (CompositionError, DomainError,
+                           ResourceLimitError)
 from ctxlib.events import elements, event_presheaf, global_sections
 from ctxlib.sset import (DetMorphism, SimplicialDistribution, apply_operator,
                          codegen, coface, compare_nerve_mapping,
@@ -19,10 +22,11 @@ from ctxlib.sset import (DetMorphism, SimplicialDistribution, apply_operator,
                          hom_tensor_to_mapping, identity_sset_map,
                          identity_stochastic, identity_theta,
                          mapping_simplicial, monotone_maps, mu, nerve_bundle,
-                         nerve_space, product_sset, product_sset_map,
+                         nerve_space, pair_name, product_sset,
+                         product_sset_map,
                          pullback_along_simplex, pullback_sset,
                          push_stochastic, sections, standard_simplex,
-                         tensor_stochastic, theta_simplicial,
+                         tensor_stochastic, theta_id, theta_simplicial,
                          validate_simplicial_distribution, validate_sset,
                          validate_sset_map, validate_stoch_morphism, zeta,
                          zeta_inverse)
@@ -254,6 +258,33 @@ class TestDetMorphismsAndZeta:
             assert proj == identity_sset_map(ng.target)
             back = zeta_inverse(tiny_mapping, sec)
             assert back.key() == det.key()
+
+
+class TestMappingSpaceLookups:
+    def test_each_pullback_is_built_once(self, monkeypatch):
+        nf = nerve_bundle(point_bundle(["a1", "a2"], "u"), 2)
+        ng = nerve_bundle(BundleScenario(EDGE, EDGE, {"a": "a", "b": "b"}), 2)
+        built = Counter()
+        real = sset.pullback_along_simplex
+
+        def counting(fmap, n, x, d):
+            built[("src" if fmap is nf else "dst", n, x)] += 1
+            return real(fmap, n, x, d)
+
+        monkeypatch.setattr(sset, "pullback_along_simplex", counting)
+        mapping_simplicial(nf, ng, d=2)
+        assert built and max(built.values()) == 1
+
+    def test_simplex_id_finds_each_simplex_from_its_own_map(self,
+                                                            tiny_mapping):
+        for (n, sid), (y, x, alpha) in tiny_mapping.payload.items():
+            def value(m, phi, e):
+                qid = alpha(m, pair_name(theta_id(phi), e))
+                return alpha.target.payload[(m, qid)][1]
+
+            assert tiny_mapping.simplex_id(n, y, x, value) == sid
+            with pytest.raises(DomainError):
+                tiny_mapping.simplex_id(n, y, x, lambda m, phi, e: "nowhere")
 
 
 class TestMu:
