@@ -3,7 +3,8 @@
 One verb per construction: validate, convert, tensor, sections,
 nerve-complex, nerve, map, push, check, decompose, verify-certificate, laws.
 All payloads are JSON; output goes to stdout unless -o is given.  Exit codes:
-0 success, 1 validation failure, 2 contextual verdict, 3 resource cap.
+0 success, 1 validation failure, bad input or usage error, 2 contextual
+verdict, 3 resource cap.
 """
 
 import argparse
@@ -17,8 +18,9 @@ from .complexes import SimplicialComplex, SimplicialRelation, nerve_complex, \
 from .dist import Dist, rat, rat_str
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .events import EventMorphism, EventScenario, StandardScenario, \
-    elements, event_presheaf, global_sections, mapping_event_scenario, \
-    tensor_event, validate_event_morphism, validate_event_scenario
+    element_name, elements, event_presheaf, global_sections, \
+    mapping_event_scenario, tensor_event, validate_event_morphism, \
+    validate_event_scenario
 from .laws import run_suite
 from .sset import SimplicialDistribution, mapping_simplicial, nerve_bundle
 from .solve import EmpiricalModel, check_contextuality, \
@@ -127,35 +129,21 @@ def cmd_validate(args):
 
 
 def cmd_convert(args):
-    obj = _load(args.input)
-    kind = obj.get("kind")
-    target = args.to
-    witness = {}
-    if target == "event":
-        scn = load_scenario(args.input)
-        report = validate_event_scenario(scn)
-        if not report["ok"]:
-            _emit(report, args.output)
-            return 1
+    scn = load_scenario(args.input)
+    report = validate_event_scenario(scn)
+    if not report["ok"]:
+        _emit(report, args.output)
+        return 1
+    if args.to == "event":
         out = scn.to_json()
-    elif target == "bundle":
-        scn = load_scenario(args.input)
-        report = validate_event_scenario(scn)
-        if not report["ok"]:
-            _emit(report, args.output)
-            return 1
-        bnd = elements(scn)
-        out = bnd.to_json()
-        if args.witness:
-            witness = {"outcome-names": {
-                skey(sigma): {s: skey(frozenset(
-                    "(%s|%s)" % (x, scn.restrict(sigma, frozenset([x]), s))
-                    for x in sigma)) for s in scn.sets[sigma]}
-                for sigma in scn.base.simplices()}}
     else:
-        raise DomainError("unknown conversion target %r" % target)
-    if witness:
-        out = {"converted": out, "witness": witness}
+        out = elements(scn).to_json()
+        if args.witness:
+            out = {"converted": out, "witness": {"outcome-names": {
+                skey(sigma): {s: skey(frozenset(
+                    element_name(x, scn.restrict(sigma, frozenset([x]), s))
+                    for x in sigma)) for s in scn.sets[sigma]}
+                for sigma in scn.base.simplices()}}}
     _emit(out, args.output)
     return 0
 
@@ -285,8 +273,16 @@ def cmd_laws(args):
     return 0 if report["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as DomainError, so that they exit 1 with the
+    invalid-input JSON line like any other bad input."""
+
+    def error(self, message):
+        raise DomainError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctx", description="scenario and contextuality toolkit")
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -374,9 +370,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ResourceLimitError as err:
         print(json.dumps({"error": "resource-limit", "detail": str(err),

@@ -210,10 +210,6 @@ class ComplexMap:
                      tuple(sorted(self.vertex_map.items()))))
 
 
-def identity_map(cpx):
-    return ComplexMap(cpx, cpx, {x: x for x in cpx.vertices}, check=False)
-
-
 def nerve_of_map(h):
     """The nerve functor on complex maps: [sigma] goes to [h(sigma)]."""
     src = nerve_complex(h.source)

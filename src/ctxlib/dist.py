@@ -91,7 +91,11 @@ class Dist:
         return "Dist(%s)" % self.canonical()
 
     def to_json(self):
-        return {element_key(x): rat_str(w) for x, w in self._items}
+        out = {element_key(x): rat_str(w) for x, w in self._items}
+        if len(out) != len(self._items):
+            raise DomainError("distinct atoms of %r share a serialized key"
+                              % self)
+        return out
 
 
 def delta(x):

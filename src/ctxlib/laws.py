@@ -366,7 +366,10 @@ def check_mapping(trials, seed):
         scn_g = rand_event(r, max_contexts=1, max_context_size=2,
                            max_outcomes=2)
         try:
-            mapped, elems = mapping_event_scenario(scn_f, scn_g, cap=50000)
+            bnd_f = elements(scn_f)
+            bnd_g = elements(scn_g)
+            mapped, _ = mapping_event_scenario(to_event(bnd_f),
+                                               to_event(bnd_g), cap=50000)
         except ResourceLimitError:
             continue          # instance too large to enumerate; redraw
         except Exception:
@@ -377,17 +380,13 @@ def check_mapping(trials, seed):
             failures.append({"trial": t, "law": "mapping-valid"})
 
         # agreement with the brute-force enumeration over the bundles
-        bnd_f = elements(scn_f)
-        bnd_g = elements(scn_g)
-        from .bundles import mapping_bundle_scenario
-        _, M2, elems2 = mapping_bundle_scenario(bnd_f, bnd_g, cap=50000)
-        sigma = r.choice(list(M2.base.simplices()))
+        sigma = r.choice(list(mapped.base.simplices()))
         direct = set()
         for pi, amap in enumerate_direct_mapping(bnd_f, bnd_g, sigma,
                                                  cap=50000):
             direct.add(direct_mapping_top(bnd_f, bnd_g, sigma, pi,
                                           amap).key())
-        if direct != set(M2.sets[sigma]):
+        if direct != set(mapped.sets[sigma]):
             failures.append({"trial": t, "law": "mapping-direct-agreement"})
         t += 1
     return failures

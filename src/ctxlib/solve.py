@@ -309,17 +309,26 @@ def _decide(prob, secs):
     return Verdict(False, Dist(support), None, prob, secs)
 
 
+def _marginal_lp(secs, sites):
+    """Weights over the sections secs that sum to one and reproduce a given
+    marginal at every site.  sites yields (values, outcomes, p): the value of
+    each section at the site, the site's outcomes in row order, and the
+    marginal there."""
+    A = [[ONE] * len(secs)]
+    b = [ONE]
+    for values, outcomes, p in sites:
+        for o in outcomes:
+            A.append([ONE if v == o else ZERO for v in values])
+            b.append(p(o))
+    return LPProblem(A, b, columns=[s.key() for s in secs])
+
+
 def noncontextuality_lp(scn, model, secs):
     """Weights over the global sections secs that sum to one and whose
     mixture of deterministic models reproduces the model on every maximal
     simplex."""
-    A = [[ONE] * len(secs)]
-    b = [ONE]
-    for m in scn.base.maximal:
-        for o in scn.sets[m]:
-            A.append([ONE if s.value_at(m) == o else ZERO for s in secs])
-            b.append(model.dists[m](o))
-    return LPProblem(A, b, columns=[s.key() for s in secs])
+    return _marginal_lp(secs, (([s.value_at(m) for s in secs], scn.sets[m],
+                                model.dists[m]) for m in scn.base.maximal))
 
 
 def check_contextuality(scn, model, cap=10 ** 6):
@@ -347,19 +356,10 @@ def check_contextuality_simplicial(fmap, sd, cap=10 ** 6, full=False):
                           % report["failures"][:3])
     secs = sections(fmap, cap=cap)
     X = fmap.target
-    A = [[ONE] * len(secs)]
-    b = [ONE]
-    degrees = range(X.d + 1) if full else [X.d]
-    fibs = {}
-    for n in range(fmap.source.d + 1):
-        for e in fmap.source.simp[n]:
-            fibs.setdefault((n, fmap(n, e)), []).append(e)
-    for n in degrees:
-        for x in X.simp[n]:
-            for e in fibs.get((n, x), []):
-                A.append([ONE if s(n, x) == e else ZERO for s in secs])
-                b.append(sd[(n, x)](e))
-    return _decide(LPProblem(A, b, columns=[s.key() for s in secs]), secs)
+    sites = (([s(n, x) for s in secs], fmap.fiber(n, x), sd[(n, x)])
+             for n in (range(X.d + 1) if full else [X.d])
+             for x in X.simp[n])
+    return _decide(_marginal_lp(secs, sites), secs)
 
 
 # ---------------------------------------------------------------------------

@@ -143,15 +143,33 @@ def validate_sset(X):
     return {"ok": not failures, "failures": failures}
 
 
+def _face_degen(d, cells):
+    """Each face d_i of each degree-n cell in cells(n), 1 <= n <= d, then
+    each degeneracy s_j, n < d, as (law, index key, index, n, cell, m, op):
+    law "face" with key "i" or "degen" with key "j", and op(S, s) applying
+    the operator to a degree-n simplex s of S, which lands in degree m."""
+    for n in range(1, d + 1):
+        for c in cells(n):
+            for i in range(n + 1):
+                yield ("face", "i", i, n, c, n - 1,
+                       lambda S, s, n=n, i=i: S.face[n][s][i])
+    for n in range(d):
+        for c in cells(n):
+            for j in range(n + 1):
+                yield ("degen", "j", j, n, c, n + 1,
+                       lambda S, s, n=n, j=j: S.degen[n][s][j])
+
+
 class SSetMap:
     """A degreewise map commuting with faces and degeneracies."""
 
-    __slots__ = ("source", "target", "comp")
+    __slots__ = ("source", "target", "comp", "_fibers")
 
     def __init__(self, source, target, comp, check=True):
         self.source = source
         self.target = target
         self.comp = {n: dict(comp.get(n, {})) for n in range(source.d + 1)}
+        self._fibers = None
         if check:
             report = validate_sset_map(self)
             if not report["ok"]:
@@ -160,6 +178,16 @@ class SSetMap:
 
     def __call__(self, n, x):
         return self.comp[n][x]
+
+    def fiber(self, n, x):
+        """The degree-n source simplices over x, in source order."""
+        if self._fibers is None:
+            fibs = {}
+            for m in range(self.source.d + 1):
+                for e in self.source.simp[m]:
+                    fibs.setdefault((m, self.comp[m][e]), []).append(e)
+            self._fibers = {k: tuple(v) for k, v in fibs.items()}
+        return self._fibers.get((n, x), ())
 
     def compose(self, other):
         """self after other."""
@@ -193,19 +221,9 @@ def validate_sset_map(fmap):
                 failures.append({"law": "totality", "simplex": (n, x)})
     if failures:
         return {"ok": False, "failures": failures}
-    for n in range(1, X.d + 1):
-        for x in X.simp[n]:
-            for i in range(n + 1):
-                if fmap(n - 1, X.dface(n, i, x)) != \
-                        Y.dface(n, i, fmap(n, x)):
-                    failures.append({"law": "face", "simplex": (n, x), "i": i})
-    for n in range(X.d):
-        for x in X.simp[n]:
-            for j in range(n + 1):
-                if fmap(n + 1, X.sdegen(n, j, x)) != \
-                        Y.sdegen(n, j, fmap(n, x)):
-                    failures.append({"law": "degen", "simplex": (n, x),
-                                     "j": j})
+    for law, key, k, n, x, m, op in _face_degen(X.d, X.simp.get):
+        if fmap(m, op(X, x)) != op(Y, fmap(n, x)):
+            failures.append({"law": law, "simplex": (n, x), key: k})
     return {"ok": not failures, "failures": failures}
 
 
@@ -303,20 +321,20 @@ def discrete_map(func, X, Y):
                           for n in range(X.d + 1)}, check=False)
 
 
-def _pair_sset(X, Y, d, keep=None):
+def _pair_sset(X, Y, d, partners):
     """The simplicial set of pairs (a, b) of degree-n simplices of X and Y,
-    for n <= d, with faces and degeneracies taken componentwise; keep(n, a, b)
-    optionally restricts the pairs.  The payload decodes an id to (a, b)."""
+    for n <= d, with faces and degeneracies taken componentwise, where
+    partners(n, a) lists the b paired with a.  The payload decodes an id to
+    (a, b)."""
     simp = {}
     payload = {}
     for n in range(d + 1):
         ids = []
         for a in X.simp[n]:
-            for b in Y.simp[n]:
-                if keep is None or keep(n, a, b):
-                    pid = pair_name(a, b)
-                    ids.append(pid)
-                    payload[(n, pid)] = (a, b)
+            for b in partners(n, a):
+                pid = pair_name(a, b)
+                ids.append(pid)
+                payload[(n, pid)] = (a, b)
         simp[n] = tuple(ids)
     face = {}
     degen = {}
@@ -337,7 +355,7 @@ def _pair_sset(X, Y, d, keep=None):
 
 
 def product_sset(X, Y):
-    return _pair_sset(X, Y, min(X.d, Y.d))
+    return _pair_sset(X, Y, min(X.d, Y.d), lambda n, a: Y.simp[n])
 
 
 def product_sset_map(f1, f2):
@@ -430,14 +448,6 @@ def nerve_bundle(bnd, d=None):
 # Fibers, sections, simplicial distributions
 
 
-def map_fibers(fmap):
-    fibs = {}
-    for n in range(fmap.source.d + 1):
-        for e in fmap.source.simp[n]:
-            fibs.setdefault((n, fmap(n, e)), []).append(e)
-    return fibs
-
-
 def enumerate_sset_maps(X, Y, candidates, cap=10 ** 6):
     """All maps X -> Y with values drawn from candidates(n, x), commuting
     with faces; degenerate values are forced by lower degrees."""
@@ -479,10 +489,7 @@ def enumerate_sset_maps(X, Y, candidates, cap=10 ** 6):
 
 def sections(fmap, cap=10 ** 6):
     """All sections of a simplicial scenario, in canonical order."""
-    fibs = map_fibers(fmap)
-    X, E = fmap.target, fmap.source
-    out = enumerate_sset_maps(X, E,
-                              lambda n, x: fibs.get((n, x), []), cap=cap)
+    out = enumerate_sset_maps(fmap.target, fmap.source, fmap.fiber, cap=cap)
     out.sort(key=lambda s: s.key())
     return out
 
@@ -509,36 +516,23 @@ class SimplicialDistribution:
 
 def validate_simplicial_distribution(fmap, sd):
     failures = []
-    fibs = map_fibers(fmap)
-    X = fmap.target
-    E = fmap.source
+    X, E = fmap.target, fmap.source
     for n in range(X.d + 1):
         for x in X.simp[n]:
             p = sd.table.get((n, x))
             if p is None:
                 failures.append({"law": "coverage", "simplex": (n, x)})
                 continue
-            fib = set(fibs.get((n, x), []))
+            fib = set(fmap.fiber(n, x))
             if any(e not in fib for e in p.support()):
                 failures.append({"law": "support", "simplex": (n, x)})
     if failures:
         return {"ok": False, "failures": failures}
-    for n in range(1, X.d + 1):
-        for x in X.simp[n]:
-            for i in range(n + 1):
-                got = pushforward(lambda e, _i=i, _n=n: E.dface(_n, _i, e),
-                                  sd[(n, x)])
-                if got != sd[(n - 1, X.dface(n, i, x))]:
-                    failures.append({"law": "face-marginal",
-                                     "simplex": (n, x), "i": i})
-    for n in range(X.d):
-        for x in X.simp[n]:
-            for j in range(n + 1):
-                got = pushforward(lambda e, _j=j, _n=n: E.sdegen(_n, _j, e),
-                                  sd[(n, x)])
-                if got != sd[(n + 1, X.sdegen(n, j, x))]:
-                    failures.append({"law": "degen-marginal",
-                                     "simplex": (n, x), "j": j})
+    for law, key, k, n, x, m, op in _face_degen(X.d, X.simp.get):
+        got = pushforward(lambda e: op(E, e), sd[(n, x)])
+        if got != sd[(m, op(X, x))]:
+            failures.append({"law": law + "-marginal", "simplex": (n, x),
+                             key: k})
     return {"ok": not failures, "failures": failures}
 
 
@@ -566,7 +560,7 @@ def pullback_sset(fmap, pimap):
         raise DomainError("pullback legs have different targets")
     E, Y = fmap.source, pimap.source
     P = _pair_sset(E, Y, min(E.d, Y.d),
-                   lambda n, e, y: fmap(n, e) == pimap(n, y))
+                   lambda n, e: pimap.fiber(n, fmap(n, e)))
     pe = SSetMap(P, E, {n: {pid: P.payload[(n, pid)][0] for pid in P.simp[n]}
                         for n in range(P.d + 1)}, check=False)
     py = SSetMap(P, Y, {n: {pid: P.payload[(n, pid)][1] for pid in P.simp[n]}
@@ -596,9 +590,7 @@ def validate_stoch_morphism(mor):
     d = min(X.d, Y.d)
     for n in range(d + 1):
         for y in Y.simp[n]:
-            for e in E.simp[n]:
-                if f(n, e) != pi(n, y):
-                    continue
+            for e in f.fiber(n, pi(n, y)):
                 p = mor.alpha.get((n, e, y))
                 if p is None:
                     failures.append({"law": "coverage", "pair": (n, e, y)})
@@ -607,27 +599,11 @@ def validate_stoch_morphism(mor):
                     failures.append({"law": "right-square", "pair": (n, e, y)})
     if failures:
         return {"ok": False, "failures": failures}
-    for n in range(1, d + 1):
-        for (m, e, y) in list(mor.alpha):
-            if m != n:
-                continue
-            for i in range(n + 1):
-                got = pushforward(lambda w, _i=i, _n=n: F.dface(_n, _i, w),
-                                  mor.alpha[(n, e, y)])
-                if got != mor.alpha[(n - 1, E.dface(n, i, e),
-                                     Y.dface(n, i, y))]:
-                    failures.append({"law": "face", "pair": (n, e, y), "i": i})
-    for n in range(d):
-        for (m, e, y) in list(mor.alpha):
-            if m != n:
-                continue
-            for j in range(n + 1):
-                got = pushforward(lambda w, _j=j, _n=n: F.sdegen(_n, _j, w),
-                                  mor.alpha[(n, e, y)])
-                if got != mor.alpha[(n + 1, E.sdegen(n, j, e),
-                                     Y.sdegen(n, j, y))]:
-                    failures.append({"law": "degen", "pair": (n, e, y),
-                                     "j": j})
+    for law, key, k, n, (e, y), m, op in _face_degen(
+            d, lambda n: [c[1:] for c in mor.alpha if c[0] == n]):
+        got = pushforward(lambda w: op(F, w), mor.alpha[(n, e, y)])
+        if got != mor.alpha[(m, op(E, e), op(Y, y))]:
+            failures.append({"law": law, "pair": (n, e, y), key: k})
     return {"ok": not failures, "failures": failures}
 
 
@@ -665,13 +641,11 @@ def enumerate_det_morphisms(f, g, cap=10 ** 6):
     """All morphisms f -> g in the identity-monad category of scenarios."""
     X, Y = f.target, g.target
     pis = enumerate_sset_maps(Y, X, lambda n, y: X.simp[n], cap=cap)
-    gfibs = map_fibers(g)
     out = []
     for pi in pis:
         P, pe, py = pullback_sset(f, pi)
         amaps = enumerate_sset_maps(
-            P, g.source,
-            lambda n, pid: gfibs.get((n, P.payload[(n, pid)][1]), []),
+            P, g.source, lambda n, pid: g.fiber(n, P.payload[(n, pid)][1]),
             cap=cap)
         for am in amaps:
             a = {}
@@ -706,15 +680,12 @@ def compose_stochastic(m1, m2):
     pi = m1.pi.compose(m2.pi)
     alpha = {}
     Z = m2.dst.target
-    E = f.source
     d = min(f.target.d, Z.d)
     for n in range(d + 1):
         for z in Z.simp[n]:
             x = pi(n, z)
             ymid = m2.pi(n, z)
-            for e in E.simp[n]:
-                if f(n, e) != x:
-                    continue
+            for e in f.fiber(n, x):
                 inner = m1.at(n, e, ymid)
                 terms = [(w, m2.at(n, e2, z)) for e2, w in inner.items()]
                 alpha[(n, e, z)] = mixture(terms)
@@ -730,10 +701,8 @@ def tensor_stochastic(m1, m2):
     for n in range(d + 1):
         for pid_y in dst.target.simp[n]:
             y1, y2 = dst.target.payload[(n, pid_y)]
-            for pid_e in src.source.simp[n]:
+            for pid_e in src.fiber(n, pi(n, pid_y)):
                 e1, e2 = src.source.payload[(n, pid_e)]
-                if src(n, pid_e) != pi(n, pid_y):
-                    continue
                 prod = product_dist(m1.at(n, e1, y1), m2.at(n, e2, y2))
                 alpha[(n, pid_e, pid_y)] = pushforward(
                     lambda pair: pair_name(pair[0], pair[1]), prod)
@@ -755,7 +724,7 @@ def pullback_along_simplex(fmap, n, x, d):
     D = standard_simplex(n, d)
     below = {(m, tid): apply_operator(X, n, x, theta)
              for (m, tid), theta in D.payload.items()}
-    P = _pair_sset(D, E, d, lambda m, tid, e: fmap(m, e) == below[(m, tid)])
+    P = _pair_sset(D, E, d, lambda m, tid: fmap.fiber(m, below[(m, tid)]))
     P.payload = {(m, pid): (D.payload[(m, tid)], e)
                  for (m, pid), (tid, e) in P.payload.items()}
     return P
@@ -959,9 +928,7 @@ def hom_tensor_to_mapping(f, g, h, det, mspace):
         for z in Z.simp[n]:
             x = pi1(n, z)
             y = XY.payload[(n, det.pi(n, z))][1]
-            for e in E.simp[n]:
-                if f(n, e) != x:
-                    continue
+            for e in f.fiber(n, x):
 
                 def value(m, phi, ftil):
                     ephi = apply_operator(E, n, e, phi)

@@ -197,11 +197,13 @@ class TestCheckAndVerify:
         assert json.loads(lines[0])["error"] == "invalid-input"
 
     def test_flags_of_other_verbs_rejected(self, capsys, chsh, pr_model):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--scenario", chsh, "--model", pr_model,
-                  "--truncate", "3"])
-        assert exc.value.code == 2
-        assert "--truncate" in capsys.readouterr().err
+        assert main(["check", "--scenario", chsh, "--model", pr_model,
+                     "--truncate", "3"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "invalid-input"
+        assert "--truncate" in err["detail"]
 
     def test_noncontextual_witness_verifies(self, capsys, tmp_path, path1):
         model = write(tmp_path, "m.json", PATH_MODEL)

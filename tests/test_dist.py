@@ -45,6 +45,15 @@ class TestBasics:
         assert p(1) == p("1") == F(1, 2)
         assert p != Dist({"1": F(1)})
 
+    @pytest.mark.parametrize("p", [
+        Dist([(1, F(1, 2)), ("1", F(1, 2))]),
+        product_dist(Dist({"0,0": F(1, 2), "0": F(1, 2)}),
+                     Dist({"1": F(1, 2), "0,1": F(1, 2)})),
+    ], ids=["int-and-str", "product-pairs"])
+    def test_to_json_refuses_atoms_with_equal_keys(self, p):
+        with pytest.raises(DomainError):
+            p.to_json()
+
     def test_zero_weights_dropped(self):
         p = Dist([("a", F(1)), ("b", F(0))])
         assert p.support() == ("a",)

@@ -208,3 +208,21 @@ class TestMapping:
         failures = check_mapping(2, seed=5)
         assert [f["trial"] for f in failures
                 if f["law"] == "mapping-valid"] == [0, 1]
+
+    def test_mapping_suite_builds_each_scenario_once(self, monkeypatch):
+        from ctxlib import events
+        built = []
+
+        def build(scn_f, scn_g, cap):
+            built.append(mapping_event_scenario(scn_f, scn_g, cap=cap)[0])
+            return built[-1], None
+
+        def elems(scn):
+            assert all(scn is not m for m in built)
+            return elements(scn)
+
+        for module in (laws, events):
+            monkeypatch.setattr(module, "mapping_event_scenario", build)
+            monkeypatch.setattr(module, "elements", elems)
+        assert check_mapping(5, seed=43) == []
+        assert len(built) == 5

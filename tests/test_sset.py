@@ -148,6 +148,58 @@ class TestNerveSpace:
         assert len(sections(fm)) == len(global_sections(scn)) == 8
 
 
+class TestFibers:
+    @pytest.mark.parametrize("bnd", [
+        elements(event_presheaf(standard([["a1", "b1"], ["b1", "c1"]]))),
+        point_bundle(["a1", "a2", "a3"]),
+        BundleScenario(EDGE, EDGE, {"a": "a", "b": "b"}),
+    ], ids=["path", "point", "edge"])
+    def test_fiber_is_the_scan_in_source_order(self, bnd):
+        fm = nerve_bundle(bnd)
+        for n in range(fm.target.d + 1):
+            for x in fm.target.simp[n]:
+                assert list(fm.fiber(n, x)) == \
+                    [e for e in fm.source.simp[n] if fm(n, e) == x]
+
+
+class TestFaceDegeneracyFailures:
+    """Each validator names the law, the cell and the operator index of a
+    face or degeneracy it breaks."""
+
+    @staticmethod
+    def scenario():
+        """Two points over one point, in degrees 0 and 1."""
+        X = discrete_sset(["x"], 1)
+        return discrete_map(lambda v: "x", discrete_sset(["p", "q"], 1), X)
+
+    def test_sset_map(self):
+        D = standard_simplex(1, 1)
+        comp = identity_sset_map(D).comp
+        comp[1]["0,0"] = "0,1"
+        report = validate_sset_map(sset.SSetMap(D, D, comp, check=False))
+        assert report["failures"] == [
+            {"law": "face", "simplex": (1, "0,0"), "i": 0},
+            {"law": "degen", "simplex": (0, "0"), "j": 0}]
+
+    def test_simplicial_distribution(self):
+        sd = SimplicialDistribution({(0, "x"): delta("p"),
+                                     (1, "x"): delta("q")})
+        report = validate_simplicial_distribution(self.scenario(), sd)
+        assert report["failures"] == [
+            {"law": "face-marginal", "simplex": (1, "x"), "i": 0},
+            {"law": "face-marginal", "simplex": (1, "x"), "i": 1},
+            {"law": "degen-marginal", "simplex": (0, "x"), "j": 0}]
+
+    def test_stochastic_morphism(self):
+        ident = identity_stochastic(self.scenario())
+        ident.alpha[(1, "p", "x")] = delta("q")
+        report = validate_stoch_morphism(ident)
+        assert report["failures"] == [
+            {"law": "face", "pair": (1, "p", "x"), "i": 0},
+            {"law": "face", "pair": (1, "p", "x"), "i": 1},
+            {"law": "degen", "pair": (0, "p", "x"), "j": 0}]
+
+
 class TestDiscreteAndProduct:
     def test_discrete_validates(self):
         X = discrete_sset(["p", "q"], 2)
