@@ -6,6 +6,7 @@ serialized form, so a distribution over distributions works out of the box.
 """
 
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import DomainError, PreconditionError
 
@@ -29,18 +30,33 @@ def rat_str(q):
         q.numerator, q.denominator)
 
 
-def element_key(x):
+def element_key(x, scalar=str):
     """Canonical string key of a support element, for ordering and output.
 
     Distinct values can share a key (1 and "1", or ("0,0", "1") and
-    ("0", "0,1")), so atoms are never identified by it."""
+    ("0", "0,1")), so atoms are never identified by it.  With
+    scalar=_tagged they cannot: that is how Dist.canonical spells atoms."""
     if isinstance(x, Dist):
         return x.canonical()
     if isinstance(x, tuple):
-        return "(" + ",".join(element_key(v) for v in x) + ")"
+        return "(" + ",".join(element_key(v, scalar) for v in x) + ")"
     if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(element_key(v) for v in x)) + "}"
-    return str(x)
+        return "{" + ",".join(sorted(element_key(v, scalar)
+                                     for v in x)) + "}"
+    return scalar(x)
+
+
+_ESCAPES = str.maketrans({c: "\\" + c for c in "\\(){},;=#"})
+
+
+def _tagged(x):
+    """A string with its reserved characters escaped; any other scalar
+    tagged: a rational number by its value, else by its type."""
+    if isinstance(x, str):
+        return x.translate(_ESCAPES)
+    if isinstance(x, Rational):
+        return "#" + rat_str(x)
+    return "#%s:%s" % (type(x).__name__, str(x).translate(_ESCAPES))
 
 
 class Dist:
@@ -75,10 +91,11 @@ class Dist:
         return self._index.get(x, ZERO)
 
     def canonical(self):
+        """The sorted atom=weight entries; distinct for distinct Dists."""
         if self._canon is None:
-            self._canon = "{" + ";".join(
-                "%s=%s" % (element_key(x), rat_str(w))
-                for x, w in self._items) + "}"
+            self._canon = "{" + ";".join(sorted(
+                "%s=%s" % (element_key(x, _tagged), rat_str(w))
+                for x, w in self._items)) + "}"
         return self._canon
 
     def __eq__(self, other):

@@ -170,13 +170,8 @@ def intersection_cover_objects(cover):
     cover = [frozenset(c) for c in cover]
     out = set()
     for r in range(1, len(cover) + 1):
-        for picks in product(*[[0, 1]] * len(cover)):
-            if sum(picks) != r:
-                continue
-            inter = None
-            for c, take in zip(cover, picks):
-                if take:
-                    inter = c if inter is None else inter & c
+        for picks in combinations(cover, r):
+            inter = frozenset.intersection(*picks)
             if inter:
                 out.add(inter)
     return sorted(out, key=lambda s: (len(s), skey(s)))

@@ -32,9 +32,6 @@ class TruncatedSSet:
         self.payload = payload or {}
         self._degsrc = None
 
-    def faces(self, n, x):
-        return self.face[n][x]
-
     def dface(self, n, i, x):
         return self.face[n][x][i]
 
@@ -54,9 +51,6 @@ class TruncatedSSet:
 
     def is_degenerate(self, n, x):
         return (n, x) in self.degeneracy_source()
-
-    def nondegenerate(self, n):
-        return [x for x in self.simp[n] if not self.is_degenerate(n, x)]
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSSet) and self.d == other.d
@@ -87,22 +81,15 @@ class TruncatedSSet:
 
 def validate_sset(X):
     failures = []
-    for n in range(1, X.d + 1):
-        for x in X.simp[n]:
-            fs = X.face[n].get(x)
-            if fs is None or len(fs) != n + 1:
-                failures.append({"law": "face-table", "simplex": (n, x)})
-                continue
-            if any(f not in set(X.simp[n - 1]) for f in fs):
-                failures.append({"law": "face-range", "simplex": (n, x)})
-    for n in range(X.d):
-        for x in X.simp[n]:
-            ds = X.degen[n].get(x)
-            if ds is None or len(ds) != n + 1:
-                failures.append({"law": "degen-table", "simplex": (n, x)})
-                continue
-            if any(s not in set(X.simp[n + 1]) for s in ds):
-                failures.append({"law": "degen-range", "simplex": (n, x)})
+    ids = {n: set(X.simp[n]) for n in X.simp}
+    for law, table, shift in (("face", X.face, -1), ("degen", X.degen, 1)):
+        for n in table:
+            for x in X.simp[n]:
+                ops = table[n].get(x)
+                if ops is None or len(ops) != n + 1:
+                    failures.append({"law": law + "-table", "simplex": (n, x)})
+                elif any(s not in ids[n + shift] for s in ops):
+                    failures.append({"law": law + "-range", "simplex": (n, x)})
     if failures:
         return {"ok": False, "failures": failures}
     for n in range(2, X.d + 1):
@@ -448,42 +435,72 @@ def nerve_bundle(bnd, d=None):
 # Fibers, sections, simplicial distributions
 
 
+_DONE = object()
+
+
 def enumerate_sset_maps(X, Y, candidates, cap=10 ** 6):
     """All maps X -> Y with values drawn from candidates(n, x), commuting
-    with faces; degenerate values are forced by lower degrees."""
+    with faces, in lexicographic order of the choices (simplices of X by
+    degree, candidates in their own order); cap bounds their number.
+
+    Depth first over one assignment, branching only on nondegenerate
+    simplices, over the candidates whose faces match the values set; a
+    degenerate simplex takes the value its degeneracy source forces.  A
+    branch is cut once a later nondegenerate simplex has all its faces set
+    and no candidate."""
     degsrc = X.degeneracy_source()
-    partials = [{}]
+    # branches[k]: (n, x, faces of x, candidates by face tuple, degenerate
+    # simplices that x forces, later branches whose faces x completes);
+    # known[(n, x)]: the branch whose choice sets the value of x
+    branches, known = [], {}
     for n in range(X.d + 1):
         for x in X.simp[n]:
-            forced = degsrc.get((n, x))
-            nxt = []
-            for p in partials:
-                if forced is not None:
-                    j, parent = forced
-                    val = Y.sdegen(n - 1, j, p[(n - 1, parent)])
-                    opts = [val]
-                else:
-                    opts = list(candidates(n, x))
-                    if n >= 1:
-                        want = tuple(p[(n - 1, X.dface(n, i, x))]
-                                     for i in range(n + 1))
-                        opts = [y for y in opts
-                                if tuple(Y.face[n][y]) == want]
-                for y in opts:
-                    q = dict(p)
-                    q[(n, x)] = y
-                    nxt.append(q)
-            if len(nxt) > cap:
-                raise ResourceLimitError("map enumeration over cap", cap=cap,
-                                         estimate=len(nxt),
-                                         stage="enumerate_sset_maps")
-            partials = nxt
+            src = degsrc.get((n, x))
+            if src is not None:
+                k = known[(n, x)] = known[(n - 1, src[1])]
+                branches[k][4].append((n, x) + src)
+                continue
+            k = known[(n, x)] = len(branches)
+            xfaces = X.face[n][x] if n else ()
+            last = max([known[(n - 1, f)] for f in xfaces], default=k - 1)
+            if last < k - 1:
+                branches[last][5].append(k)
+            table = {}
+            for y in candidates(n, x):
+                table.setdefault(tuple(Y.face[n][y]) if n else (),
+                                 []).append(y)
+            branches.append((n, x, xfaces, table, [], []))
+    comp = {n: dict.fromkeys(X.simp[n]) for n in range(X.d + 1)}
+    if not branches:
+        return [SSetMap(X, Y, comp, check=False)]
+
+    def options(k):
+        n, _, xfaces, table, _, _ = branches[k]
+        below = comp.get(n - 1)
+        return table.get(tuple([below[f] for f in xfaces]), ())
+
     out = []
-    for p in partials:
-        comp = {n: {} for n in range(X.d + 1)}
-        for (n, x), y in p.items():
-            comp[n][x] = y
-        out.append(SSetMap(X, Y, comp, check=False))
+    stack = [iter(options(0))]
+    while stack:
+        k = len(stack) - 1
+        y = next(stack[k], _DONE)
+        if y is _DONE:
+            stack.pop()
+            continue
+        n, x, _, _, fills, ahead = branches[k]
+        comp[n][x] = y
+        for m, z, j, parent in fills:
+            comp[m][z] = Y.degen[m - 1][comp[m - 1][parent]][j]
+        if not all(options(b) for b in ahead):
+            continue
+        if k + 1 < len(branches):
+            stack.append(iter(options(k + 1)))
+        elif len(out) == cap:
+            raise ResourceLimitError("map enumeration over cap", cap=cap,
+                                     estimate=cap + 1,
+                                     stage="enumerate_sset_maps")
+        else:
+            out.append(SSetMap(X, Y, comp, check=False))
     return out
 
 

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests: exact convex-hull membership by
-brute-force subset enumeration, coordinate vectors for empirical models, and
-the dense Fraction phase-1 simplex that the library's integer tableau must
-agree with exactly.
+brute-force subset enumeration, coordinate vectors for empirical models, the
+dense Fraction phase-1 simplex that the library's integer tableau must agree
+with exactly, and the breadth-first map search that the library's depth-first
+one must agree with map for map.
 
 These deliberately avoid the library's LP solver so that they can serve as a
 cross-check on it.
@@ -11,7 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from ctxlib.dist import ONE, ZERO
-from ctxlib.errors import DomainError
+from ctxlib.errors import DomainError, ResourceLimitError
+from ctxlib.sset import SSetMap
 
 
 def model_vector(model, coords):
@@ -129,3 +131,42 @@ def lp_feasible_fraction(prob):
         if basis[i] < n:
             x[basis[i]] = rows[i][-1]
     return "feasible", x
+
+
+def enumerate_sset_maps_bfs(X, Y, candidates, cap=10 ** 6):
+    """All maps X -> Y with values drawn from candidates(n, x), commuting
+    with faces; degenerate values are forced by lower degrees."""
+    degsrc = X.degeneracy_source()
+    partials = [{}]
+    for n in range(X.d + 1):
+        for x in X.simp[n]:
+            forced = degsrc.get((n, x))
+            nxt = []
+            for p in partials:
+                if forced is not None:
+                    j, parent = forced
+                    val = Y.sdegen(n - 1, j, p[(n - 1, parent)])
+                    opts = [val]
+                else:
+                    opts = list(candidates(n, x))
+                    if n >= 1:
+                        want = tuple(p[(n - 1, X.dface(n, i, x))]
+                                     for i in range(n + 1))
+                        opts = [y for y in opts
+                                if tuple(Y.face[n][y]) == want]
+                for y in opts:
+                    q = dict(p)
+                    q[(n, x)] = y
+                    nxt.append(q)
+            if len(nxt) > cap:
+                raise ResourceLimitError("map enumeration over cap", cap=cap,
+                                         estimate=len(nxt),
+                                         stage="enumerate_sset_maps")
+            partials = nxt
+    out = []
+    for p in partials:
+        comp = {n: {} for n in range(X.d + 1)}
+        for (n, x), y in p.items():
+            comp[n][x] = y
+        out.append(SSetMap(X, Y, comp, check=False))
+    return out

@@ -62,6 +62,30 @@ class TestBasics:
         p = Dist({"b": F(1, 3), "a": F(2, 3)})
         assert p.canonical() == "{a=2/3;b=1/3}"
 
+    @pytest.mark.parametrize("a, b", [
+        (1, "1"),
+        (("a", "b"), "(a,b)"),
+        (frozenset(["x", "y"]), ("x", "y")),
+        ("a=1", delta("a")),
+        (F(1, 2), "1/2"),
+    ], ids=["int-str", "tuple-str", "set-tuple", "str-dist", "fraction-str"])
+    def test_canonical_tells_distinct_values_apart(self, a, b):
+        assert Dist([(a, 1)]).canonical() != Dist([(b, 1)]).canonical()
+        assert delta(delta(a)).canonical() != delta(delta(b)).canonical()
+
+    def test_equal_numbers_read_the_same(self):
+        assert Dist([(1, 1)]).canonical() == Dist([(True, 1)]).canonical() \
+            == Dist([(F(1), 1)]).canonical() == "{#1=1}"
+
+    def test_canonical_is_independent_of_insertion_order(self):
+        assert Dist([(1, F(1, 2)), ("1", F(1, 2))]).canonical() == \
+            Dist([("1", F(1, 2)), (1, F(1, 2))]).canonical()
+
+    def test_mixture_of_int_and_str_deltas_serializes(self):
+        p = Dist([(Dist([(1, 1)]), F(1, 2)), (Dist([("1", 1)]), F(1, 2))])
+        out = p.to_json()
+        assert len(out) == 2 and set(out.values()) == {"1/2"}
+
     def test_element_key_nesting(self):
         assert element_key(("a", frozenset(["y", "x"]))) == "(a,{x,y})"
         assert element_key(delta("z")) == "{z=1}"

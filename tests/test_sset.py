@@ -3,9 +3,10 @@ comparison maps."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctxlib import sset
@@ -15,6 +16,7 @@ from ctxlib.dist import Dist, delta, mixture
 from ctxlib.errors import (CompositionError, DomainError,
                            ResourceLimitError)
 from ctxlib.events import elements, event_presheaf, global_sections
+from ctxlib.rand import make_rng, rand_bundle
 from ctxlib.sset import (DetMorphism, SimplicialDistribution, apply_operator,
                          codegen, coface, compare_nerve_mapping,
                          compose_stochastic, compose_theta, discrete_map,
@@ -30,7 +32,8 @@ from ctxlib.sset import (DetMorphism, SimplicialDistribution, apply_operator,
                          validate_simplicial_distribution, validate_sset,
                          validate_sset_map, validate_stoch_morphism, zeta,
                          zeta_inverse)
-from conftest import standard
+from conftest import standard, triangle_parity_scn
+from helpers import enumerate_sset_maps_bfs
 
 F = Fraction
 
@@ -236,6 +239,127 @@ class TestResourceLimits:
         assert err.stage == "mapping_simplicial"
 
 
+POINT = point_bundle(["a1", "a2", "a3"])
+PATH = elements(event_presheaf(standard([["a1", "b1"], ["b1", "c1"]])))
+TWO_SHEETS = BundleScenario(
+    SimplicialComplex([{"v0", "w0"}, {"v1", "w1"}]),
+    SimplicialComplex([{"v", "w"}]),
+    {"v0": "v", "v1": "v", "w0": "w", "w1": "w"})
+
+
+def keys(maps):
+    return [m.key() for m in maps]
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Run every map search of the library through the breadth-first oracle
+    too, recording both key lists."""
+    seen = []
+    dfs = sset.enumerate_sset_maps
+
+    def both(X, Y, candidates, cap=10 ** 6):
+        got = dfs(X, Y, candidates, cap=cap)
+        seen.append((keys(got), keys(enumerate_sset_maps_bfs(
+            X, Y, candidates, cap=cap))))
+        return got
+
+    monkeypatch.setattr(sset, "enumerate_sset_maps", both)
+    return seen
+
+
+class TestMapEnumeration:
+    """The depth-first search returns the breadth-first oracle's maps, in
+    the same order, and branches only on nondegenerate simplices."""
+
+    @pytest.mark.parametrize("bnd", [
+        POINT, BundleScenario(EDGE, EDGE, {"a": "a", "b": "b"}), TWO_SHEETS,
+        PATH, elements(triangle_parity_scn())],
+        ids=["point", "edge", "two-sheets", "path", "parity-triangle"])
+    def test_sections_match_oracle(self, bnd, searches):
+        fm = nerve_bundle(bnd)
+        sections(fm)
+        assert len(searches) == 1
+        got, want = searches[0]
+        assert got == want
+
+    @pytest.mark.parametrize("g", [point_bundle(["b1", "b2"], "s"),
+                                   TWO_SHEETS], ids=["point", "edge"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mapping_space_searches_match_oracle(self, g, d, searches):
+        f = point_bundle(["a1", "a2"])
+        mapping_simplicial(nerve_bundle(f, d), nerve_bundle(g, d), d=d)
+        assert len(searches) > 1
+        assert all(got == want for got, want in searches)
+        assert any(len(got) > 1 for got, _ in searches)
+
+    def test_det_morphism_searches_match_oracle(self, searches):
+        f, g, h = TestCounting._setup()
+        assert len(enumerate_det_morphisms(product_sset_map(f, g), h)) == 20
+        assert all(got == want for got, want in searches)
+        assert any(len(got) > 1 for got, _ in searches)
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_nerves_match_oracle(self, seed, d, reverse):
+        """The oracle keeps every partial map, so examples whose search
+        passes 5000 partials are skipped."""
+        bnd = rand_bundle(make_rng(seed), max_contexts=2, max_context_size=2,
+                          max_outcomes=2)
+        fm = nerve_bundle(bnd, d)
+
+        def candidates(n, x):
+            fib = fm.fiber(n, x)
+            return fib[::-1] if reverse else fib
+
+        try:
+            want = enumerate_sset_maps_bfs(fm.target, fm.source, candidates,
+                                           cap=5000)
+        except ResourceLimitError:
+            assume(False)
+        assert keys(sset.enumerate_sset_maps(fm.target, fm.source,
+                                             candidates)) == keys(want)
+
+    def test_candidates_asked_once_per_nondegenerate_simplex(self):
+        fm = nerve_bundle(PATH)
+        X = fm.target
+        asked = Counter()
+
+        def candidates(n, x):
+            asked[(n, x)] += 1
+            return fm.fiber(n, x)
+
+        assert len(sset.enumerate_sset_maps(X, fm.source, candidates)) == 8
+        cells = [(n, x) for n in range(X.d + 1) for x in X.simp[n]]
+        nondegenerate = [c for c in cells if not X.is_degenerate(*c)]
+        assert len(nondegenerate) < len(cells)
+        assert asked == Counter(nondegenerate)
+
+    def test_deep_search_needs_no_recursion(self):
+        """The identity bundle over the complete graph on eight vertices:
+        1744 base simplices up to degree 3, one section."""
+        verts = ["v%d" % i for i in range(8)]
+        k8 = SimplicialComplex([set(e) for e in combinations(verts, 2)])
+        fm = nerve_bundle(BundleScenario(k8, k8, {v: v for v in verts}), 3)
+        assert sum(len(fm.target.simp[n]) for n in range(4)) == 1744
+        assert len(sections(fm)) == 1
+
+    def test_cap_counts_maps(self):
+        fm = nerve_bundle(PATH)
+        assert len(sections(fm, cap=8)) == 8
+        with pytest.raises(ResourceLimitError) as exc:
+            sections(fm, cap=7)
+        err = exc.value
+        assert (err.stage, err.estimate, err.cap) == \
+            ("enumerate_sset_maps", 8, 7)
+
+    def test_empty_source_has_one_map(self):
+        X = discrete_sset([], 1)
+        Y = discrete_sset(["p"], 1)
+        assert keys(sset.enumerate_sset_maps(X, Y, lambda n, x: ["p"])) == \
+            keys(enumerate_sset_maps_bfs(X, Y, lambda n, x: ["p"])) == [""]
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_operator_composition_on_nerve_space(seed):
@@ -377,7 +501,8 @@ class TestMu:
 class TestCounting:
     """Morphism counts distinguishing the product-hom from the mapping-hom."""
 
-    def _setup(self):
+    @staticmethod
+    def _setup():
         X = discrete_sset(["x"], 1)
         Y = discrete_sset(["y1", "y2"], 1)
         Z = discrete_sset(["z"], 1)
