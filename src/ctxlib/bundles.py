@@ -56,11 +56,16 @@ class BundleScenario:
 
     @classmethod
     def from_json(cls, obj, check_names=True):
+        vmap = obj["map"]
+        if not isinstance(vmap, dict) or \
+                not all(isinstance(v, str) for v in vmap.values()):
+            raise DomainError("map must send total vertices to base vertex "
+                              "names")
         return cls(SimplicialComplex.from_json(obj["total"],
                                                check_names=check_names),
                    SimplicialComplex.from_json(obj["base"],
                                                check_names=check_names),
-                   dict(obj["map"]))
+                   dict(vmap))
 
 
 def face_transport(bnd, sigma, tau):

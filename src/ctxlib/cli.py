@@ -229,10 +229,17 @@ def cmd_verify_certificate(args):
     prob = noncontextuality_lp(scn, model, secs)
     keys = prob.columns
     if verdict_obj.get("verdict") == "contextual":
-        y = [rat(v) for v in verdict_obj["certificate"]["y"]]
+        cert = verdict_obj.get("certificate")
+        if not isinstance(cert, dict) or not isinstance(cert.get("y"), list):
+            raise DomainError("file %s: certificate must be an object whose "
+                              "y is a list of weights" % args.input)
+        y = [rat(v) for v in cert["y"]]
         ok = verify_certificate(prob, y)
     else:
-        w = verdict_obj["witness"]
+        w = verdict_obj.get("witness")
+        if not isinstance(w, dict):
+            raise DomainError("file %s: witness must map section keys to "
+                              "weights" % args.input)
         q = Dist({k: rat(v) for k, v in w.items()})
         if any(k not in set(keys) for k in w):
             ok = False

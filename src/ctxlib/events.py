@@ -119,10 +119,18 @@ class EventScenario:
     def from_json(cls, obj, check_names=True):
         base = SimplicialComplex.from_json(obj["complex"],
                                            check_names=check_names)
-        sets = {frozenset(split_key(k)): tuple(v)
-                for k, v in obj["sets"].items()}
+        sets, tables = obj["sets"], obj.get("restrictions", {})
+        if not isinstance(sets, dict) or \
+                not all(isinstance(v, list) for v in sets.values()):
+            raise DomainError("sets must map simplex keys to outcome lists")
+        if not isinstance(tables, dict) or \
+                not all(isinstance(t, dict) and k.count(">") == 1
+                        for k, t in tables.items()):
+            raise DomainError("restrictions must map <simplex>><face> keys "
+                              "to objects of outcomes")
+        sets = {frozenset(split_key(k)): tuple(v) for k, v in sets.items()}
         codim1 = {}
-        for key, table in obj.get("restrictions", {}).items():
+        for key, table in tables.items():
             big, small = key.split(">")
             codim1[(frozenset(split_key(big)),
                     frozenset(split_key(small)))] = dict(table)

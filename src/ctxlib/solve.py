@@ -341,13 +341,12 @@ def check_contextuality(scn, model, cap=10 ** 6):
     return _decide(noncontextuality_lp(scn, model, secs), secs)
 
 
-def check_contextuality_simplicial(fmap, sd, cap=10 ** 6, full=False):
+def check_contextuality_simplicial(fmap, sd, cap=10 ** 6):
     """The simplicial flavor: variables over sections of the scenario map.
 
-    By default constraints are imposed at the top degree only (every lower
-    simplex is a face of one of its degeneracies, so the lower constraints
-    follow from the face marginals of a valid simplicial distribution); pass
-    full=True to constrain every degree.
+    Constraints are imposed at the top degree only: every lower simplex is a
+    face of one of its degeneracies, so the lower constraints follow from
+    the face marginals of a valid simplicial distribution.
     """
     from .sset import validate_simplicial_distribution
     report = validate_simplicial_distribution(fmap, sd)
@@ -355,10 +354,9 @@ def check_contextuality_simplicial(fmap, sd, cap=10 ** 6, full=False):
         raise DomainError("invalid simplicial distribution: %s"
                           % report["failures"][:3])
     secs = sections(fmap, cap=cap)
-    X = fmap.target
+    n = fmap.target.d
     sites = (([s(n, x) for s in secs], fmap.fiber(n, x), sd[(n, x)])
-             for n in (range(X.d + 1) if full else [X.d])
-             for x in X.simp[n])
+             for x in fmap.target.simp[n])
     return _decide(_marginal_lp(secs, sites), secs)
 
 

@@ -752,13 +752,13 @@ class MappingSpace:
 
     A degree-n simplex over y (in the base of g) is a pair of an n-simplex x
     in the base of f and a fiberwise map alpha from the part of f over x to
-    the part of g over y.  Simplices carry compact ids; payload decodes an id
-    to (y, x, alpha).  mapping_simplicial fills in the simplices; the
-    pullbacks of f and g along base simplices are built once, on first use.
+    the part of g over y, sending each cell (phi, e) to a (phi, e').  payload
+    decodes its id to (y, x, the e' in cells order); ids finds the id from
+    (n, y, x, alpha's SSetMap key).  Pullbacks are built once, on first use.
     """
 
     __slots__ = ("f", "g", "d", "sset", "proj", "ids", "payload",
-                 "_px", "_py")
+                 "_px", "_py", "_cells")
 
     def __init__(self, f, g, d):
         self.f = f
@@ -770,6 +770,7 @@ class MappingSpace:
         self.payload = {}
         self._px = {}
         self._py = {}
+        self._cells = {}
 
     def pb_src(self, n, x):
         if (n, x) not in self._px:
@@ -781,33 +782,37 @@ class MappingSpace:
             self._py[(n, y)] = pullback_along_simplex(self.g, n, y, self.d)
         return self._py[(n, y)]
 
+    def cells(self, n, x):
+        """The cells (m, pid, phi, e) of the pullback of f along x in the
+        order of SSetMap.key() (degree, then pid), the position of each
+        (m, phi, e), and the format of the key of a map from its values."""
+        if (n, x) not in self._cells:
+            PX = self.pb_src(n, x)
+            cells = tuple((m, pid) + PX.payload[(m, pid)]
+                          for m in range(self.d + 1)
+                          for pid in sorted(PX.simp[m]))
+            form = ";".join("%d:%s>" % (m, pid.replace("%", "%%"))
+                            + pair_name(theta_id(phi), "%s")
+                            for m, pid, phi, _ in cells)
+            pos = {(m, phi, e): k for k, (m, _, phi, e) in enumerate(cells)}
+            self._cells[(n, x)] = (cells, pos, form)
+        return self._cells[(n, x)]
+
+    def value(self, n, sid, m, phi, e):
+        """The e' to which simplex (n, sid) sends the cell (m, phi, e)."""
+        _, x, values = self.payload[(n, sid)]
+        return values[self.cells(n, x)[1][(m, phi, e)]]
+
     def simplex_id(self, n, y, x, value):
         """The id of the degree-n simplex over y from x whose fiberwise map
         sends each (phi, e) over x to (phi, value(m, phi, e)) over y."""
-        PX = self.pb_src(n, x)
-        comp = {}
-        for m in range(self.d + 1):
-            comp[m] = {}
-            for pid in PX.simp[m]:
-                phi, e = PX.payload[(m, pid)]
-                comp[m][pid] = pair_name(theta_id(phi), value(m, phi, e))
-        alpha = SSetMap(PX, self.pb_dst(n, y), comp, check=False)
-        sid = self.ids.get((n, y, x, alpha.key()))
+        cells, _, form = self.cells(n, x)
+        key = form % tuple([value(m, phi, e) for m, _, phi, e in cells])
+        sid = self.ids.get((n, y, x, key))
         if sid is None:
             raise DomainError("no mapping-space simplex over %s from %s "
                               "has this fiberwise map" % (y, x))
         return sid
-
-    def top_map(self, n, sid):
-        """The degree-n top component of a simplex: e over x to e' over y."""
-        _, _, alpha = self.payload[(n, sid)]
-        out = {}
-        for pid, qid in alpha.comp[n].items():
-            theta, e = alpha.source.payload[(n, pid)]
-            if theta == identity_theta(n):
-                _, e2 = alpha.target.payload[(n, qid)]
-                out[e] = e2
-        return out
 
 
 def mapping_simplicial(f, g, d=None, cap=10 ** 6):
@@ -825,45 +830,38 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
         for y in Y.simp[n]:
             PY = ms.pb_dst(n, y)
             bytheta = {}
-            for m in range(d + 1):
-                for qid in PY.simp[m]:
-                    theta, _ = PY.payload[(m, qid)]
-                    bytheta.setdefault((m, theta), []).append(qid)
+            for (m, qid), (theta, _) in PY.payload.items():
+                bytheta.setdefault((m, theta), []).append(qid)
             for x in X.simp[n]:
-                PX = ms.pb_src(n, x)
-
-                def candidates(m, pid, _PX=PX, _bt=bytheta):
-                    theta, _ = _PX.payload[(m, pid)]
-                    return _bt.get((m, theta), [])
-
-                for alpha in enumerate_sset_maps(PX, PY, candidates,
-                                                 cap=cap):
-                    level.append((y, x, alpha))
+                cells, _, form = ms.cells(n, x)
+                opts = {pid: bytheta.get((m, phi), [])
+                        for m, pid, phi, _ in cells}
+                for alpha in enumerate_sset_maps(
+                        ms.pb_src(n, x), PY, lambda m, pid: opts[pid],
+                        cap=cap):
+                    values = tuple([PY.payload[(m, alpha(m, pid))][1]
+                                    for m, pid, _, _ in cells])
+                    level.append((y, x, form % values, values))
                     total += 1
                     if total > cap:
                         raise ResourceLimitError(
                             "mapping space over cap", cap=cap,
                             estimate=total, stage="mapping_simplicial")
-        level.sort(key=lambda t: (t[0], t[1], t[2].key()))
-        names = []
-        for k, (y, x, alpha) in enumerate(level):
-            sid = "m%d.%d" % (n, k)
-            names.append(sid)
-            ms.ids[(n, y, x, alpha.key())] = sid
-            ms.payload[(n, sid)] = (y, x, alpha)
-        simp[n] = tuple(names)
+        level.sort()
+        simp[n] = tuple("m%d.%d" % (n, k) for k in range(len(level)))
+        for sid, (y, x, key, values) in zip(simp[n], level):
+            ms.ids[(n, y, x, key)] = sid
+            ms.payload[(n, sid)] = (y, x, values)
 
-    def act(n, sid, theta, mdeg):
-        """The contravariant action of theta: [mdeg] -> [n] on a simplex."""
-        y, x, alpha = ms.payload[(n, sid)]
-
-        def value(m, phi, e):
-            src = pair_name(theta_id(compose_theta(theta, phi)), e)
-            _, e2 = alpha.target.payload[(m, alpha(m, src))]
-            return e2
-
-        return ms.simplex_id(mdeg, apply_operator(Y, n, y, theta),
-                             apply_operator(X, n, x, theta), value)
+    def act(n, sid, theta, k):
+        """theta: [k] -> [n] acts by restriction, (theta alpha)(phi, e) =
+        alpha(theta phi, e) (May, Simplicial Objects in Algebraic Topology,
+        1967)."""
+        y, x, _ = ms.payload[(n, sid)]
+        return ms.simplex_id(
+            k, apply_operator(Y, n, y, theta), apply_operator(X, n, x, theta),
+            lambda m, phi, e: ms.value(n, sid, m, compose_theta(theta, phi),
+                                       e))
 
     face = {}
     degen = {}
@@ -903,29 +901,31 @@ def zeta_inverse(mspace, section):
     for n in range(mspace.d + 1):
         picomp[n] = {}
         for y in Y.simp[n]:
-            yy, x, alpha = mspace.payload[(n, section(n, y))]
+            sid = section(n, y)
+            yy, x, _ = mspace.payload[(n, sid)]
             if yy != y:
                 raise DomainError("not a section over %s" % y)
             picomp[n][y] = x
-            for e, e2 in mspace.top_map(n, section(n, y)).items():
-                a[(n, e, y)] = e2
+            for e in mspace.f.fiber(n, x):
+                a[(n, e, y)] = mspace.value(n, sid, n, identity_theta(n), e)
     pi = SSetMap(Y, mspace.f.target, picomp, check=False)
     return DetMorphism(mspace.f, mspace.g, pi, a)
 
 
 def mu(mspace, p, q):
     """The convex pairing: mix, per base simplex, the pushforwards of q along
-    the top maps of the simplices carried by p."""
+    the top maps (the values at phi = id) of the simplices carried by p."""
     Y = mspace.g.target
     table = {}
     for n in range(mspace.d + 1):
+        ident = identity_theta(n)
         for y in Y.simp[n]:
             terms = []
             for sid, w in p[(n, y)].items():
                 _, x, _ = mspace.payload[(n, sid)]
-                top = mspace.top_map(n, sid)
-                terms.append((w, pushforward(lambda e, _t=top: _t[e],
-                                             q[(n, x)])))
+                terms.append((w, pushforward(
+                    lambda e, _s=sid: mspace.value(n, _s, n, ident, e),
+                    q[(n, x)])))
             table[(n, y)] = mixture(terms)
     return SimplicialDistribution(table)
 
@@ -1057,7 +1057,7 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
     ngg_index = {m: set(NG.simp[m]) for m in range(d + 1)}
     for n in range(d + 1):
         for sid in mspace.sset.simp[n]:
-            yid, xid, alpha = mspace.payload[(n, sid)]
+            yid, xid, _ = mspace.payload[(n, sid)]
             sig = NSp.payload[(n, yid)]
             dom = NS.payload[(n, xid)]
             out = []
@@ -1073,10 +1073,8 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
                 phi = (k - 1, k)
                 alpha_k = {}
                 for gamma in bnd_f.fiber(tau_k):
-                    pid = pair_name(theta_id(phi),
-                                    nerve_tuple_id((gamma,)))
-                    qid = alpha(1, pid)
-                    _, gid = mspace.pb_dst(n, yid).payload[(1, qid)]
+                    gid = mspace.value(n, sid, 1, phi,
+                                       nerve_tuple_id((gamma,)))
                     alpha_k[skey(gamma)] = skey(NGg.payload[(1, gid)][0])
                 elem = MappingElement(sig_k,
                                       {v: tau_k for v in sig_k}, alpha_k)

@@ -1,8 +1,11 @@
 """Independent oracles used by the tests: exact convex-hull membership by
 brute-force subset enumeration, coordinate vectors for empirical models, the
 dense Fraction phase-1 simplex that the library's integer tableau must agree
-with exactly, and the breadth-first map search that the library's depth-first
-one must agree with map for map.
+with exactly, the breadth-first map search that the library's depth-first
+one must agree with map for map, the mapping-space faces and degeneracies
+computed on whole fiberwise maps, which the library's value tables must
+agree with, and the simplicial LP over every degree, whose verdict the
+library's top-degree LP must match.
 
 These deliberately avoid the library's LP solver so that they can serve as a
 cross-check on it.
@@ -13,7 +16,10 @@ from itertools import combinations
 
 from ctxlib.dist import ONE, ZERO
 from ctxlib.errors import DomainError, ResourceLimitError
-from ctxlib.sset import SSetMap
+from ctxlib.complexes import pair_name
+from ctxlib.solve import LPProblem
+from ctxlib.sset import (SSetMap, apply_operator, codegen, coface,
+                         compose_theta, sections, theta_id)
 
 
 def model_vector(model, coords):
@@ -170,3 +176,89 @@ def enumerate_sset_maps_bfs(X, Y, candidates, cap=10 ** 6):
             comp[n][x] = y
         out.append(SSetMap(X, Y, comp, check=False))
     return out
+
+
+def simplex_id_by_map(ms, n, y, x, value):
+    """MappingSpace.simplex_id through the fiberwise map itself: build the
+    SSetMap that sends each cell (phi, e) of the pullback of f along x to
+    the cell (phi, value(m, phi, e)) of the pullback of g along y, and find
+    its key in ms.ids."""
+    PX = ms.pb_src(n, x)
+    comp = {}
+    for m in range(ms.d + 1):
+        comp[m] = {}
+        for pid in PX.simp[m]:
+            phi, e = PX.payload[(m, pid)]
+            comp[m][pid] = pair_name(theta_id(phi), value(m, phi, e))
+    alpha = SSetMap(PX, ms.pb_dst(n, y), comp, check=False)
+    return ms.ids[(n, y, x, alpha.key())]
+
+
+def fiberwise_maps(ms):
+    """The fiberwise map of each simplex of a mapping space, by (n, sid):
+    every map between the pullbacks that keeps operators, found by the
+    breadth-first search and named through ms.ids, which must hold exactly
+    these maps."""
+    X, Y = ms.f.target, ms.g.target
+    out = {}
+    for n in range(ms.d + 1):
+        for y in Y.simp[n]:
+            PY = ms.pb_dst(n, y)
+            for x in X.simp[n]:
+                PX = ms.pb_src(n, x)
+
+                def candidates(m, pid, _PX=PX, _PY=PY):
+                    theta = _PX.payload[(m, pid)][0]
+                    return [q for q in _PY.simp[m]
+                            if _PY.payload[(m, q)][0] == theta]
+
+                for alpha in enumerate_sset_maps_bfs(PX, PY, candidates):
+                    out[(n, ms.ids[(n, y, x, alpha.key())])] = alpha
+    assert sorted(out) == sorted(ms.payload)
+    return out
+
+
+def mapping_face_degen_by_maps(ms):
+    """The face and degeneracy tables of ms.sset, computed by restricting
+    each simplex's whole fiberwise map along the coface or codegeneracy and
+    looking the result up with simplex_id_by_map."""
+    X, Y = ms.f.target, ms.g.target
+    alphas = fiberwise_maps(ms)
+
+    def act(n, sid, theta, k):
+        y, x, _ = ms.payload[(n, sid)]
+        alpha = alphas[(n, sid)]
+
+        def value(m, phi, e):
+            src = pair_name(theta_id(compose_theta(theta, phi)), e)
+            return alpha.target.payload[(m, alpha(m, src))][1]
+
+        return simplex_id_by_map(ms, k, apply_operator(Y, n, y, theta),
+                                 apply_operator(X, n, x, theta), value)
+
+    face = {n: {sid: tuple(act(n, sid, coface(i, n), n - 1)
+                           for i in range(n + 1))
+                for sid in ms.sset.simp[n]}
+            for n in range(1, ms.d + 1)}
+    degen = {n: {sid: tuple(act(n, sid, codegen(j, n), n + 1)
+                            for j in range(n + 1))
+                 for sid in ms.sset.simp[n]}
+             for n in range(ms.d)}
+    return face, degen
+
+
+def every_degree_lp(fmap, sd):
+    """The LP of check_contextuality_simplicial with the marginal of sd
+    constrained at every simplex of every degree, not only the top one, and
+    its answer from lp_feasible_fraction: (problem, status, x or y)."""
+    secs = sections(fmap)
+    X = fmap.target
+    A = [[ONE] * len(secs)]
+    b = [ONE]
+    for n in range(X.d + 1):
+        for x in X.simp[n]:
+            for o in fmap.fiber(n, x):
+                A.append([ONE if s(n, x) == o else ZERO for s in secs])
+                b.append(sd[(n, x)](o))
+    prob = LPProblem(A, b, columns=[s.key() for s in secs])
+    return (prob,) + lp_feasible_fraction(prob)

@@ -103,6 +103,24 @@ class TestSectionsAndTensor:
         assert err["stage"] == "global_sections"
         assert err["cap"] == 2 and err["estimate"] > 2
 
+    @pytest.mark.parametrize("mutate", [
+        lambda s: s.update({"sets": sorted(s["sets"].items())}),
+        lambda s: s["sets"].update({"a1": "01"}),
+        lambda s: s.update({"restrictions": list(s["restrictions"])}),
+        lambda s: s["restrictions"].update({"a1,b1": {"0,0": "0"}}),
+    ], ids=["sets-list", "outcomes-string", "restrictions-list",
+            "restriction-key-without-face"])
+    def test_malformed_event_scenario_is_invalid_input(self, capsys,
+                                                       tmp_path, path_scn,
+                                                       mutate):
+        scn = path_scn.to_json()
+        mutate(scn)
+        bad = write(tmp_path, "bad.json", scn)
+        assert main(["sections", bad]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
+
     def test_output_is_deterministic(self, capsys, path1, path2):
         _, first = run(capsys, ["tensor", path1, path2])
         code = main(["tensor", path1, path2])
@@ -125,6 +143,21 @@ class TestNerve:
         code, out = run(capsys, ["nerve", bpath])
         assert code == 0 and out["kind"] == "sset-map" and out["d"] == 2
         assert set(out["components"]) == {"0", "1", "2"}
+
+
+    @pytest.mark.parametrize("vmap", [[["a", "u"]], {"a": ["u"]}],
+                             ids=["map-list", "map-value-list"])
+    def test_malformed_bundle_is_invalid_input(self, capsys, tmp_path,
+                                               vmap):
+        bundle = BundleScenario(SimplicialComplex([{"a"}]),
+                                SimplicialComplex([{"u"}]),
+                                {"a": "u"}).to_json()
+        bundle["map"] = vmap
+        bad = write(tmp_path, "bad.json", bundle)
+        assert main(["nerve", bad]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
 
 
 class TestMap:
@@ -204,6 +237,20 @@ class TestCheckAndVerify:
         err = json.loads(lines[0])
         assert err["error"] == "invalid-input"
         assert "--truncate" in err["detail"]
+
+    @pytest.mark.parametrize("verdict", [
+        {"verdict": "noncontextual", "witness": [1, 2]},
+        {"verdict": "contextual", "certificate": {"y": 5}},
+        {"verdict": "contextual", "certificate": ["1"]},
+    ], ids=["witness-list", "certificate-y-number", "certificate-list"])
+    def test_malformed_verdict_is_invalid_input(self, capsys, tmp_path, chsh,
+                                                pr_model, verdict):
+        bad = write(tmp_path, "bad.json", verdict)
+        assert main(["verify-certificate", bad, "--scenario", chsh,
+                     "--model", pr_model]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
 
     def test_noncontextual_witness_verifies(self, capsys, tmp_path, path1):
         model = write(tmp_path, "m.json", PATH_MODEL)

@@ -28,7 +28,8 @@ from ctxlib.sset import (apply_operator, enumerate_det_morphisms,
                          sections, theta_simplicial, zeta,
                          SimplicialDistribution,
                          validate_simplicial_distribution)
-from helpers import coordinates, in_hull, lp_feasible_fraction, model_vector
+from helpers import (coordinates, every_degree_lp, in_hull,
+                     lp_feasible_fraction, model_vector)
 
 F = Fraction
 
@@ -320,8 +321,8 @@ class TestTransport:
         sd = simplicial_of_empirical(bnd, scn2, model2, ns)
         assert validate_simplicial_distribution(ns, sd)["ok"]
         assert not check_contextuality_simplicial(ns, sd).contextual
-        assert not check_contextuality_simplicial(ns, sd,
-                                                  full=True).contextual
+        prob, status, x = every_degree_lp(ns, sd)
+        assert status == "feasible" and verify_witness(prob, x)
 
     def test_triangle_contextual_in_both_flavors(self, triangle_scn):
         model = model_of(triangle_scn, {
@@ -334,10 +335,11 @@ class TestTransport:
                                                     v1.certificate)
         ns = nerve_bundle(bnd)
         sd = simplicial_of_empirical(bnd, scn2, model2, ns)
-        for full in (False, True):
-            v2 = check_contextuality_simplicial(ns, sd, full=full)
-            assert v2.contextual
-            assert verify_certificate(v2.problem, v2.certificate)
+        v2 = check_contextuality_simplicial(ns, sd)
+        assert v2.contextual
+        assert verify_certificate(v2.problem, v2.certificate)
+        prob, status, y = every_degree_lp(ns, sd)
+        assert status == "infeasible" and verify_certificate(prob, y)
 
     def test_top_degree_agrees_with_full(self, path_scn):
         """Constraining only the top degree decides the same way as
@@ -352,8 +354,8 @@ class TestTransport:
             _, _, model2 = bundle_model(path_scn, model)
             sd = simplicial_of_empirical(bnd, scn2, model2, ns)
             top = check_contextuality_simplicial(ns, sd)
-            full = check_contextuality_simplicial(ns, sd, full=True)
-            assert top.contextual == full.contextual == False
+            _, status, _ = every_degree_lp(ns, sd)
+            assert top.contextual == False and status == "feasible"
 
 
 def point_bundle(fibers, base_vertex):

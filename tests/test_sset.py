@@ -33,7 +33,8 @@ from ctxlib.sset import (DetMorphism, SimplicialDistribution, apply_operator,
                          validate_sset_map, validate_stoch_morphism, zeta,
                          zeta_inverse)
 from conftest import standard, triangle_parity_scn
-from helpers import enumerate_sset_maps_bfs
+from helpers import (enumerate_sset_maps_bfs, fiberwise_maps,
+                     mapping_face_degen_by_maps)
 
 F = Fraction
 
@@ -436,6 +437,27 @@ class TestDetMorphismsAndZeta:
             assert back.key() == det.key()
 
 
+SMALL_MAPPINGS = ["point-point-d1", "point-point-d2", "point-edge-d2",
+                  "parity-d2"]
+
+
+@pytest.fixture(scope="module")
+def small_mappings():
+    """Mapping spaces from a point: into a point (d = 1, 2), into an edge
+    with two-element fibers (d = 2) and into the parity triangle (d = 2)."""
+    edge = BundleScenario(
+        SimplicialComplex([{"v0", "w0"}, {"v1", "w1"}]),
+        SimplicialComplex([{"v", "w"}]),
+        {"v0": "v", "v1": "v", "w0": "w", "w1": "w"})
+    pair = point_bundle(["a1", "a2"]), point_bundle(["b1", "b2"], "s")
+    cases = dict(zip(SMALL_MAPPINGS, [
+        pair + (1,), pair + (2,), (point_bundle(["a1"]), edge, 2),
+        (point_bundle(["q0"], "p"), elements(triangle_parity_scn()), 2)]))
+    return {name: mapping_simplicial(nerve_bundle(f, d), nerve_bundle(g, d),
+                                     d=d)
+            for name, (f, g, d) in cases.items()}
+
+
 class TestMappingSpaceLookups:
     def test_each_pullback_is_built_once(self, monkeypatch):
         nf = nerve_bundle(point_bundle(["a1", "a2"], "u"), 2)
@@ -451,16 +473,28 @@ class TestMappingSpaceLookups:
         mapping_simplicial(nf, ng, d=2)
         assert built and max(built.values()) == 1
 
-    def test_simplex_id_finds_each_simplex_from_its_own_map(self,
-                                                            tiny_mapping):
-        for (n, sid), (y, x, alpha) in tiny_mapping.payload.items():
-            def value(m, phi, e):
-                qid = alpha(m, pair_name(theta_id(phi), e))
-                return alpha.target.payload[(m, qid)][1]
+    def test_simplex_id_finds_each_simplex_from_its_own_map(
+            self, small_mappings):
+        for ms in small_mappings.values():
+            for (n, sid), alpha in fiberwise_maps(ms).items():
+                y, x, _ = ms.payload[(n, sid)]
 
-            assert tiny_mapping.simplex_id(n, y, x, value) == sid
-            with pytest.raises(DomainError):
-                tiny_mapping.simplex_id(n, y, x, lambda m, phi, e: "nowhere")
+                def value(m, phi, e):
+                    qid = alpha(m, pair_name(theta_id(phi), e))
+                    return alpha.target.payload[(m, qid)][1]
+
+                assert ms.simplex_id(n, y, x, value) == sid
+                for (m, _), (phi, e) in alpha.source.payload.items():
+                    assert ms.value(n, sid, m, phi, e) == value(m, phi, e)
+                with pytest.raises(DomainError):
+                    ms.simplex_id(n, y, x, lambda m, phi, e: "nowhere")
+
+    @pytest.mark.parametrize("case", SMALL_MAPPINGS)
+    def test_faces_and_degeneracies_restrict_whole_maps(self, small_mappings,
+                                                        case):
+        ms = small_mappings[case]
+        assert mapping_face_degen_by_maps(ms) == (ms.sset.face,
+                                                  ms.sset.degen)
 
 
 class TestMu:
