@@ -261,13 +261,27 @@ def mapping_bundle_scenario(bnd_f, bnd_g, cap=200000):
     return elements(mapped), mapped, elems
 
 
+def _pi_choices(domain_cpx, sigma, cap):
+    """Each map of sigma's vertices to simplices whose union is a simplex."""
+    verts = sorted(sigma)
+    sims = list(domain_cpx.simplices())
+    count = len(sims) ** len(verts)
+    if count > cap:
+        raise ResourceLimitError("too many relation candidates", cap=cap,
+                                 estimate=count,
+                                 stage="enumerate_direct_mapping")
+    for combo in product(sims, repeat=len(verts)):
+        union = frozenset().union(*combo)
+        if union in domain_cpx:
+            yield dict(zip(verts, combo))
+
+
 def enumerate_direct_mapping(bnd_f, bnd_g, sigma, cap=200000):
     """Brute-force enumeration of (pi, alpha) with alpha a full over-base
     morphism from the pulled-back total into the part of g over sigma.
 
     Used as an independent oracle against the event-route construction.
     """
-    from .events import _pi_choices
     sigma = frozenset(sigma)
     delta_sigma = SimplicialComplex([sigma])
     out = []

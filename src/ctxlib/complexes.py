@@ -68,8 +68,17 @@ def nonempty_subsets(sigma):
 
 
 def _antichain(simplices):
-    sims = set(simplices)
-    return [s for s in sims if not any(s < t for t in sims)]
+    """The inclusion-maximal sets: largest first, each kept unless a kept set
+    through its smallest vertex contains it; the empty set only alone."""
+    kept, through = [], {}
+    for s in sorted(set(simplices), key=len, reverse=True):
+        if not s:
+            return kept or [s]      # the empty set sorts last
+        if not any(s < t for t in through.get(min(s), ())):
+            kept.append(s)
+            for x in s:
+                through.setdefault(x, []).append(s)
+    return kept
 
 
 class SimplicialComplex:
@@ -78,13 +87,14 @@ class SimplicialComplex:
     __slots__ = ("maximal", "vertices", "_simplices")
 
     def __init__(self, maximal, check_names=False):
-        maxs = _antichain(frozenset(s) for s in maximal)
+        sims = [frozenset(s) for s in maximal]
+        verts = frozenset().union(*sims)
+        if not all(isinstance(v, str) for v in verts):
+            raise DomainError("vertex names must be strings")
+        maxs = _antichain(sims)
         if any(not s for s in maxs):
             raise DomainError("simplices must be nonempty")
         self.maximal = tuple(sorted(maxs, key=skey))
-        verts = set()
-        for s in self.maximal:
-            verts |= s
         if check_names:
             for v in verts:
                 if not _name_ok(v):

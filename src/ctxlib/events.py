@@ -124,17 +124,19 @@ class EventScenario:
                 not all(isinstance(v, list) for v in sets.values()):
             raise DomainError("sets must map simplex keys to outcome lists")
         if not isinstance(tables, dict) or \
-                not all(isinstance(t, dict) and k.count(">") == 1
-                        for k, t in tables.items()):
+                not all(isinstance(t, dict) for t in tables.values()):
             raise DomainError("restrictions must map <simplex>><face> keys "
                               "to objects of outcomes")
+        pairs = {"%s>%s" % (skey(sigma), skey(tau)): (sigma, tau)
+                 for sigma in base.simplices()
+                 for tau in _codim1_faces(sigma)}
+        for key in tables:
+            if key not in pairs:
+                raise DomainError("restriction key %r is not <simplex>><face> "
+                                  "for a codimension-1 face of the base"
+                                  % (key,))
         sets = {frozenset(split_key(k)): tuple(v) for k, v in sets.items()}
-        codim1 = {}
-        for key, table in tables.items():
-            big, small = key.split(">")
-            codim1[(frozenset(split_key(big)),
-                    frozenset(split_key(small)))] = dict(table)
-        return cls(base, sets, codim1)
+        return cls(base, sets, {pairs[k]: dict(t) for k, t in tables.items()})
 
 
 def validate_event_scenario(scn):
@@ -413,14 +415,15 @@ def global_sections(scn, cap=10 ** 6):
                     "more than %d partial sections" % cap, cap=cap,
                     estimate=len(nxt), stage="global_sections")
         partials = nxt
+    lifts = []
+    for sigma in scn.base.simplices():
+        parent = next(m for m in scn.base.maximal if sigma <= m)
+        lifts.append((sigma, sorted(parent), scn.profile_index(parent),
+                      scn.restriction_map(parent, sigma)))
     out = []
     for assignment in partials:
-        values = {}
-        for sigma in scn.base.simplices():
-            parent = next(m for m in scn.base.maximal if sigma <= m)
-            s = scn.profile_index(parent)[
-                tuple(assignment[x] for x in sorted(parent))]
-            values[sigma] = scn.restrict(parent, sigma, s)
+        values = {sigma: down[index[tuple(assignment[x] for x in verts)]]
+                  for sigma, verts, index, down in lifts}
         out.append(GlobalSection(assignment, values))
     out.sort(key=lambda s: s.key())
     return out
@@ -487,89 +490,71 @@ class MappingElement:
         return hash(self.key())
 
 
-def _pi_choices(domain_cpx, sigma, cap):
-    verts = sorted(sigma)
-    sims = list(domain_cpx.simplices())
-    count = len(sims) ** len(verts)
-    if count > cap:
-        raise ResourceLimitError("too many relation candidates", cap=cap,
-                                 estimate=count,
-                                 stage="mapping_event_scenario")
-    for combo in product(sims, repeat=len(verts)):
-        union = frozenset().union(*combo)
-        if union in domain_cpx:
-            yield dict(zip(verts, combo))
-
-
-def _alpha_extends(scn_f, scn_g, sigma, pi, alpha):
-    """Does the top map factor through every face's restriction kernel?"""
-    u = frozenset().union(*pi.values())
-    for r in range(1, len(sigma) + 1):
-        for tau in combinations(sorted(sigma), r):
-            tau = frozenset(tau)
-            if tau == sigma:
-                continue
-            ubar = frozenset().union(*[pi[x] for x in tau])
-            down_f = scn_f.restriction_map(u, ubar)
-            down_g = scn_g.restriction_map(sigma, tau)
-            seen = {}
-            for s in scn_f.sets[u]:
-                cls = down_f[s]
-                img = down_g[alpha[s]]
-                if seen.setdefault(cls, img) != img:
-                    return False
-    return True
-
-
 def mapping_event_scenario(scn_f, scn_g, cap=200000):
     """The event scenario [F, G] over the base of G, together with a registry
-    decoding each outcome id back to its (sigma, pi, alpha) element."""
-    base = scn_g.base
-    elems = {}
-    sets = {}
+    decoding each outcome id back to its (sigma, pi, alpha) element.
+
+    Over a vertex y an element is a simplex u_y of F's base with any map
+    beta_y: F(u_y) -> G(y).  Over sigma it is one vertex element per vertex,
+    the u_y joining to a simplex u, such that for every s in F(u) the values
+    beta_y(s|u_y) are the vertex profile of an outcome alpha(s) of G(sigma).
+    For valid F and G these are exactly the natural maps (pi, alpha).  The
+    cap bounds |simplices of F|^|sigma| and |G(sigma)|^|F(u)|, and is
+    checked before the inputs are validated.
+    """
+    base, f_sims = scn_g.base, scn_f.base.simplices()
+    widest = max((len(scn_f.sets[u]) for u in f_sims), default=0)
     for sigma in base.simplices():
-        found = []
-        for pi in _pi_choices(scn_f.base, sigma, cap):
-            u = frozenset().union(*pi.values())
-            dom = scn_f.sets[u]
-            codom = scn_g.sets[sigma]
-            count = len(codom) ** len(dom)
+        codom = len(scn_g.sets[sigma])
+        for count, what in (
+                (len(f_sims) ** len(sigma), "too many relation candidates"),
+                (codom ** widest,
+                 "function space %d^%d over cap" % (codom, widest))):
             if count > cap:
-                raise ResourceLimitError(
-                    "function space %d^%d over cap" % (len(codom), len(dom)),
-                    cap=cap, estimate=count, stage="mapping_event_scenario")
-            for images in product(codom, repeat=len(dom)):
-                alpha = dict(zip(dom, images))
-                if _alpha_extends(scn_f, scn_g, sigma, pi, alpha):
-                    found.append(MappingElement(sigma, pi, alpha))
-        found.sort(key=lambda e: e.key())
-        sets[sigma] = tuple(e.key() for e in found)
-        for e in found:
-            elems[(sigma, e.key())] = e
-    tables = {}
+                raise ResourceLimitError(what, cap=cap, estimate=count,
+                                         stage="mapping_event_scenario")
+    for name, scn in (("F", scn_f), ("G", scn_g)):
+        report = validate_event_scenario(scn)
+        if not report["ok"]:
+            raise DomainError("[F, G] needs valid event scenarios; %s fails "
+                              "%s" % (name, report["failures"][:3]))
+    betas = {y: {v: [dict(zip(scn_f.sets[v], images)) for images in product(
+                 scn_g.sets[frozenset([y])], repeat=len(scn_f.sets[v]))]
+                 for v in f_sims}
+             for y in base.vertices}
+    families = {}   # sigma -> {((u_y, index into betas[y][u_y]), ...): key}
+    elems, sets, tables = {}, {}, {}
     for sigma in base.simplices():
-        for tau in _codim1_faces(sigma):
-            table = {}
-            for key in sets[sigma]:
-                restricted = restrict_mapping_element(
-                    scn_f, scn_g, elems[(sigma, key)], tau)
-                if (tau, restricted.key()) not in elems:
-                    raise DomainError(
-                        "restricted mapping element missing at %s" % skey(tau))
-                table[key] = restricted.key()
-            tables[(sigma, tau)] = table
+        verts = sorted(sigma)
+        index = scn_g.profile_index(sigma)
+        found = {}
+        # extend each family on sigma minus its last vertex by one entry
+        stems = families[sigma - {verts[-1]}] if len(sigma) > 1 else [()]
+        for stem in stems:
+            firsts = [betas[y][w][i] for y, (w, i) in zip(verts, stem)]
+            joined = frozenset().union(*(w for w, _ in stem))
+            for v in f_sims:
+                u = joined | v
+                if u not in scn_f.base:
+                    continue
+                downs = [scn_f.restriction_map(u, w) for w, _ in stem]
+                downs.append(scn_f.restriction_map(u, v))
+                for i, beta in enumerate(betas[verts[-1]][v]):
+                    cols = list(zip(firsts + [beta], downs))
+                    profiles = [tuple(b[down[s]] for b, down in cols)
+                                for s in scn_f.sets[u]]
+                    if not all(p in index for p in profiles):
+                        continue
+                    fam = stem + ((v, i),)
+                    elem = MappingElement(
+                        sigma, {y: w for y, (w, _) in zip(verts, fam)},
+                        {s: index[p] for s, p in zip(scn_f.sets[u], profiles)})
+                    found[fam] = elem.key()
+                    elems[(sigma, elem.key())] = elem
+        families[sigma] = found
+        sets[sigma] = tuple(sorted(found.values()))
+        # the face dropping the k-th vertex drops the k-th entry
+        for k, tau in enumerate(_codim1_faces(sigma)):
+            tables[(sigma, tau)] = {key: families[tau][fam[:k] + fam[k + 1:]]
+                                    for fam, key in found.items()}
     return EventScenario(base, sets, tables), elems
-
-
-def restrict_mapping_element(scn_f, scn_g, elem, tau):
-    """Restrict (pi, alpha) from its simplex to a face tau."""
-    tau = frozenset(tau)
-    pi_t = {x: elem.pi[x] for x in tau}
-    u = elem.domain
-    ubar = frozenset().union(*pi_t.values())
-    down_f = scn_f.restriction_map(u, ubar)
-    down_g = scn_g.restriction_map(elem.sigma, tau)
-    alpha_t = {}
-    for s in scn_f.sets[u]:
-        alpha_t[down_f[s]] = down_g[elem.alpha[s]]
-    return MappingElement(tau, pi_t, alpha_t)

@@ -4,19 +4,23 @@ dense Fraction phase-1 simplex that the library's integer tableau must agree
 with exactly, the breadth-first map search that the library's depth-first
 one must agree with map for map, the mapping-space faces and degeneracies
 computed on whole fiberwise maps, which the library's value tables must
-agree with, and the simplicial LP over every degree, whose verdict the
-library's top-degree LP must match.
+agree with, the simplicial LP over every degree, whose verdict the
+library's top-degree LP must match, the enumerate-and-filter mapping
+scenario that the library's construction from vertex elements must agree
+with element for element, and the quadratic antichain.
 
 These deliberately avoid the library's LP solver so that they can serve as a
 cross-check on it.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from ctxlib.dist import ONE, ZERO
+from ctxlib.bundles import _pi_choices
 from ctxlib.errors import DomainError, ResourceLimitError
-from ctxlib.complexes import pair_name
+from ctxlib.complexes import pair_name, skey
+from ctxlib.events import EventScenario, MappingElement, _codim1_faces
 from ctxlib.solve import LPProblem
 from ctxlib.sset import (SSetMap, apply_operator, codegen, coface,
                          compose_theta, sections, theta_id)
@@ -262,3 +266,84 @@ def every_degree_lp(fmap, sd):
                 b.append(sd[(n, x)](o))
     prob = LPProblem(A, b, columns=[s.key() for s in secs])
     return (prob,) + lp_feasible_fraction(prob)
+
+
+def antichain_pairwise(simplices):
+    """The inclusion-maximal sets, by comparing every pair."""
+    sims = set(simplices)
+    return [s for s in sims if not any(s < t for t in sims)]
+
+
+def _alpha_extends(scn_f, scn_g, sigma, pi, alpha):
+    """Does the top map factor through every face's restriction kernel?"""
+    u = frozenset().union(*pi.values())
+    for r in range(1, len(sigma) + 1):
+        for tau in combinations(sorted(sigma), r):
+            tau = frozenset(tau)
+            if tau == sigma:
+                continue
+            ubar = frozenset().union(*[pi[x] for x in tau])
+            down_f = scn_f.restriction_map(u, ubar)
+            down_g = scn_g.restriction_map(sigma, tau)
+            seen = {}
+            for s in scn_f.sets[u]:
+                cls = down_f[s]
+                img = down_g[alpha[s]]
+                if seen.setdefault(cls, img) != img:
+                    return False
+    return True
+
+
+def mapping_event_scenario_filtered(scn_f, scn_g, cap=200000):
+    """[F, G] by trying every map alpha: F(u) -> G(sigma) for every relation
+    pi and keeping those that factor through every face, with each face
+    restriction computed from the element and looked up by key."""
+    base = scn_g.base
+    elems = {}
+    sets = {}
+    for sigma in base.simplices():
+        found = []
+        for pi in _pi_choices(scn_f.base, sigma, cap):
+            u = frozenset().union(*pi.values())
+            dom = scn_f.sets[u]
+            codom = scn_g.sets[sigma]
+            count = len(codom) ** len(dom)
+            if count > cap:
+                raise ResourceLimitError(
+                    "function space %d^%d over cap" % (len(codom), len(dom)),
+                    cap=cap, estimate=count, stage="mapping_event_scenario")
+            for images in product(codom, repeat=len(dom)):
+                alpha = dict(zip(dom, images))
+                if _alpha_extends(scn_f, scn_g, sigma, pi, alpha):
+                    found.append(MappingElement(sigma, pi, alpha))
+        found.sort(key=lambda e: e.key())
+        sets[sigma] = tuple(e.key() for e in found)
+        for e in found:
+            elems[(sigma, e.key())] = e
+    tables = {}
+    for sigma in base.simplices():
+        for tau in _codim1_faces(sigma):
+            table = {}
+            for key in sets[sigma]:
+                restricted = restrict_mapping_element(
+                    scn_f, scn_g, elems[(sigma, key)], tau)
+                if (tau, restricted.key()) not in elems:
+                    raise DomainError(
+                        "restricted mapping element missing at %s" % skey(tau))
+                table[key] = restricted.key()
+            tables[(sigma, tau)] = table
+    return EventScenario(base, sets, tables), elems
+
+
+def restrict_mapping_element(scn_f, scn_g, elem, tau):
+    """Restrict (pi, alpha) from its simplex to a face tau."""
+    tau = frozenset(tau)
+    pi_t = {x: elem.pi[x] for x in tau}
+    u = elem.domain
+    ubar = frozenset().union(*pi_t.values())
+    down_f = scn_f.restriction_map(u, ubar)
+    down_g = scn_g.restriction_map(elem.sigma, tau)
+    alpha_t = {}
+    for s in scn_f.sets[u]:
+        alpha_t[down_f[s]] = down_g[elem.alpha[s]]
+    return MappingElement(tau, pi_t, alpha_t)

@@ -14,6 +14,7 @@ from ctxlib.sset import (mapping_simplicial, nerve_bundle, sections,
                          theta_simplicial)
 from ctxlib.bundles import BundleScenario
 from ctxlib.complexes import SimplicialComplex
+from ctxlib.events import event_presheaf
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,6 +122,21 @@ class TestSectionsAndTensor:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-input"
 
+    def test_non_string_vertex_name_is_invalid_input(self, capsys,
+                                                    tmp_path):
+        bad = write(tmp_path, "bad.json", {"maximal": [[5, "a"]]})
+        assert main(["validate", bad]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
+
+    def test_vertex_name_with_restriction_separator(self, capsys, tmp_path):
+        scn = event_presheaf(standard([["a>b", "c"]]))
+        path = write(tmp_path, "scn.json", scn.to_json())
+        code, out = run(capsys, ["sections", path])
+        assert code == 0 and out["count"] == 4
+        assert out["sections"][0] == "a>b=0;c=0"
+
     def test_output_is_deterministic(self, capsys, path1, path2):
         _, first = run(capsys, ["tensor", path1, path2])
         code = main(["tensor", path1, path2])
@@ -168,6 +184,29 @@ class TestMap:
         assert code == 0
         sizes = {k: len(v) for k, v in out["sets"].items()}
         assert sizes == {"u": 4, "v": 4, "u,v": 16}
+
+    def test_event_kind_matches_golden_output(self, capsys, tmp_path):
+        f = write(tmp_path, "f.json", standard([["a"]]).to_json())
+        g = write(tmp_path, "g.json", standard([["u", "v"]]).to_json())
+        assert main(["map", "--kind", "event", f, g]) == 0
+        golden = GOLDEN / "map_event_point_edge.json"
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_event_kind_rejects_nonlocal_target(self, capsys, tmp_path):
+        """Two outcomes p, q of the edge restrict to (0, 0): G is not local,
+        and [F, G] is only defined for valid event scenarios."""
+        f = write(tmp_path, "f.json", standard([["a"]]).to_json())
+        g = write(tmp_path, "g.json", {
+            "kind": "event", "complex": {"maximal": [["u", "v"]]},
+            "sets": {"u": ["0", "1"], "v": ["0", "1"],
+                     "u,v": ["p", "q", "r"]},
+            "restrictions": {"u,v>u": {"p": "0", "q": "0", "r": "1"},
+                             "u,v>v": {"p": "0", "q": "0", "r": "1"}}})
+        assert main(["map", "--kind", "event", f, g]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
 
     def test_simplicial_kind_matches_golden_output(self, capsys, tmp_path):
         """The m<n>.<k> ids are what `ctx decompose` reads, so their

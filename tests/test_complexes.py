@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxlib.complexes import (ComplexMap, SimplicialComplex,
+from helpers import antichain_pairwise
+from ctxlib.complexes import (ComplexMap, SimplicialComplex, _antichain,
                               SimplicialRelation, identity_relation,
                               kleisli_compose, mult_map, nerve_complex,
                               nerve_name, nerve_unname, nonempty_subsets,
@@ -53,6 +54,12 @@ class TestComplex:
     def test_empty_simplex_rejected(self):
         with pytest.raises(DomainError):
             SimplicialComplex([frozenset()])
+        assert SimplicialComplex([set(), {"a"}]).maximal == \
+            (frozenset({"a"}),)
+
+    def test_non_string_vertex_name_rejected(self):
+        with pytest.raises(DomainError, match="strings"):
+            SimplicialComplex([[5, "a"]])
 
     def test_path_simplices(self):
         assert len(PATH.simplices()) == 5
@@ -92,6 +99,18 @@ def test_downward_closure_and_antichain(cpx):
             assert tau in sims
     for m in cpx.maximal:
         assert not any(m < other for other in cpx.maximal)
+
+
+@given(st.lists(st.frozensets(st.sampled_from("abcdef")), max_size=12),
+       st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_antichain_matches_pairwise(family, repeats):
+    """Duplicates and the empty set included: the empty set survives only
+    when it is the whole family."""
+    family = family + family[:repeats]
+    got = _antichain(iter(family))
+    assert len(got) == len(set(got))
+    assert set(got) == set(antichain_pairwise(family))
 
 
 class TestNerve:

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (CHSH_CONTEXTS, PATH1_CONTEXTS, standard,
                       triangle_parity_scn)
+from helpers import mapping_event_scenario_filtered
 from ctxlib.complexes import (SimplicialComplex, identity_relation, skey,
                               SimplicialRelation)
 from ctxlib import laws
@@ -15,6 +16,7 @@ from ctxlib.events import (EventMorphism, EventScenario, cover_profile,
                            reindex, tensor_event, validate_event_morphism,
                            validate_event_scenario)
 from ctxlib.laws import check_mapping
+from ctxlib.rand import make_rng, rand_event
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,17 @@ class TestValidation:
         assert any(f["axiom"] == "locality" for f in report["failures"])
         profiles = cover_profile(scn, edge, [{"a"}, {"b"}])
         assert profiles["s"] == profiles["t"]
+
+    def test_vertex_names_with_restriction_separator_round_trip(self):
+        scn = event_presheaf(standard([["a>b", "c"]]))
+        assert validate_event_scenario(scn)["ok"]
+        assert EventScenario.from_json(scn.to_json()) == scn
+
+    def test_unknown_restriction_key_rejected(self, path_scn):
+        obj = path_scn.to_json()
+        obj["restrictions"]["a1,b1>c1"] = {}
+        with pytest.raises(DomainError, match="a1,b1>c1"):
+            EventScenario.from_json(obj)
 
     def test_locality_holds_matches_cover_profile(self, path_scn):
         edge = frozenset(["a1", "b1"])
@@ -177,6 +190,19 @@ class TestElements:
         assert bnd.vmap[element_name("a1", "0")] == "a1"
 
 
+def registry(elems):
+    return {k: (e.sigma, e.pi, e.alpha) for k, e in elems.items()}
+
+
+def assert_matches_filtered(f, g, cap=200000):
+    """The same [F, G], outcome order and element registry as trying every
+    map and keeping those that factor through every face."""
+    got, got_elems = mapping_event_scenario(f, g, cap=cap)
+    want, want_elems = mapping_event_scenario_filtered(f, g, cap=cap)
+    assert got == want
+    assert registry(got_elems) == registry(want_elems)
+
+
 class TestMapping:
     def test_tiny_instance_counts(self):
         f = event_presheaf(standard([["a"]]))
@@ -191,6 +217,58 @@ class TestMapping:
                 elem = elems[(sigma, key)]
                 assert elem.key() == key
                 assert elem.sigma == sigma
+
+    @pytest.mark.parametrize("f_name,g_name", [
+        ("triangle", "point"), ("triangle", "edge"), ("point", "triangle"),
+        ("edge", "triangle"), ("triangle", "triangle")])
+    def test_parity_triangle_matches_filtered(self, f_name, g_name):
+        scenarios = {"point": event_presheaf(standard([["a"]])),
+                     "edge": event_presheaf(standard([["u", "v"]])),
+                     "triangle": triangle_parity_scn()}
+        f, g = scenarios[f_name], scenarios[g_name]
+        assert_matches_filtered(f, g)
+
+    def test_rand_event_pairs_match_filtered(self):
+        """Seeded pairs, F on at most two vertices and G on up to five;
+        the library must hit its cap exactly where the oracle does."""
+        built = raised = 0
+        widest = 1
+        for seed in range(4):
+            r = make_rng(seed)
+            for _ in range(10):
+                f = rand_event(r, max_contexts=2, max_context_size=2,
+                               max_outcomes=2)
+                g = rand_event(r, max_contexts=2, max_context_size=3,
+                               max_outcomes=2)
+                try:
+                    mapping_event_scenario_filtered(f, g, cap=4000)
+                except ResourceLimitError:
+                    with pytest.raises(ResourceLimitError) as err:
+                        mapping_event_scenario(f, g, cap=4000)
+                    assert err.value.stage == "mapping_event_scenario"
+                    raised += 1
+                    continue
+                assert_matches_filtered(f, g, cap=4000)
+                built += 1
+                widest = max([widest] + [len(m) for m in g.base.maximal])
+        assert built >= 30 and raised >= 1 and widest >= 3
+
+    def test_invalid_input_rejected(self):
+        edge = SimplicialComplex([{"u", "v"}])
+        sigma = frozenset(["u", "v"])
+        nonlocal_g = EventScenario(
+            edge, {frozenset(["u"]): ("0", "1"), frozenset(["v"]): ("0", "1"),
+                   sigma: ("p", "q", "r")},
+            {(sigma, frozenset(["u"])): {"p": "0", "q": "0", "r": "1"},
+             (sigma, frozenset(["v"])): {"p": "0", "q": "0", "r": "1"}})
+        point = event_presheaf(standard([["a"]]))
+        with pytest.raises(DomainError, match="locality"):
+            mapping_event_scenario(point, nonlocal_g)
+        with pytest.raises(DomainError, match="locality"):
+            mapping_event_scenario(nonlocal_g, point)
+        # the cap is checked first, so an input over it still hits the cap
+        with pytest.raises(ResourceLimitError):
+            mapping_event_scenario(point, nonlocal_g, cap=2)
 
     def test_element_key_format(self):
         f = event_presheaf(standard([["a"]]))
