@@ -56,6 +56,8 @@ class BundleScenario:
 
     @classmethod
     def from_json(cls, obj, check_names=True):
+        if not isinstance(obj, dict):
+            raise DomainError("a bundle must be a JSON object")
         vmap = obj["map"]
         if not isinstance(vmap, dict) or \
                 not all(isinstance(v, str) for v in vmap.values()):

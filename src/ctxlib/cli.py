@@ -14,7 +14,7 @@ import sys
 from .bundles import BundleScenario, mapping_bundle_scenario, to_event, \
     validate_bundle
 from .complexes import SimplicialComplex, SimplicialRelation, nerve_complex, \
-    skey, simplex_from_key
+    skey, simplex_from_key, strings
 from .dist import Dist, rat, rat_str
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .events import EventMorphism, EventScenario, StandardScenario, \
@@ -89,11 +89,18 @@ def load_morphism(path):
         raise DomainError("file %s does not hold a morphism" % path)
     source = EventScenario.from_json(obj["source"])
     target = EventScenario.from_json(obj["target"])
+    relation, components = obj["relation"], obj["components"]
+    if not isinstance(relation, dict) or \
+            not all(map(strings, relation.values())):
+        raise DomainError("relation must map vertices to lists of vertices")
+    if not isinstance(components, dict) or \
+            not all(isinstance(v, dict) and strings(list(v.values()))
+                    for v in components.values()):
+        raise DomainError("components must map simplex keys to objects of "
+                          "outcomes")
     rel = SimplicialRelation(target.base, source.base,
-                             {x: frozenset(v)
-                              for x, v in obj["relation"].items()})
-    comps = {simplex_from_key(k): dict(v)
-             for k, v in obj["components"].items()}
+                             {x: frozenset(v) for x, v in relation.items()})
+    comps = {simplex_from_key(k): dict(v) for k, v in components.items()}
     return EventMorphism(source, target, rel, comps)
 
 
@@ -115,6 +122,8 @@ def cmd_validate(args):
     elif kind in ("event", "standard"):
         report = validate_event_scenario(load_scenario(args.input))
     elif kind == "model":
+        if args.scenario is None:
+            raise DomainError("validating a model needs --scenario")
         scn = load_scenario(args.scenario)
         model = load_model(args.input, scn)
         report = validate_empirical(scn, model.dists)
@@ -256,6 +265,8 @@ def cmd_decompose(args):
     bf = BundleScenario.from_json(spec["f"])
     bg = BundleScenario.from_json(spec["g"])
     d = spec.get("d", args.truncate)
+    if d is not None and type(d) is not int:
+        raise DomainError("d must be an integer")
     nf = nerve_bundle(bf, d=d)
     ng = nerve_bundle(bg, d=d)
     ms = mapping_simplicial(nf, ng, cap=args.cap)

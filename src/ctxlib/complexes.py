@@ -57,6 +57,18 @@ def split_key(text, sep=","):
     return parts
 
 
+def strings(obj):
+    """Is obj a JSON list of strings?"""
+    return isinstance(obj, list) and all(isinstance(v, str) for v in obj)
+
+
+def simplex_lists(obj, what):
+    """obj, if it is a JSON list of lists of vertex names; else DomainError."""
+    if not isinstance(obj, list) or not all(map(strings, obj)):
+        raise DomainError("%s must be a list of lists of vertex names" % what)
+    return obj
+
+
 def simplex_from_key(key):
     return frozenset(split_key(key))
 
@@ -142,9 +154,13 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, obj, check_names=True):
-        cpx = cls(obj["maximal"], check_names=check_names)
+        if not isinstance(obj, dict):
+            raise DomainError("a complex must be a JSON object")
+        cpx = cls(simplex_lists(obj["maximal"], "maximal"),
+                  check_names=check_names)
         declared = obj.get("vertices")
-        if declared is not None and sorted(declared) != list(cpx.vertices):
+        if declared is not None and (not strings(declared) or
+                                     sorted(declared) != list(cpx.vertices)):
             raise DomainError("declared vertex list disagrees with maximals")
         return cpx
 

@@ -9,8 +9,8 @@ restrictions are composites, with path independence checked by validation.
 from itertools import combinations, product
 
 from .complexes import (SimplicialComplex, identity_relation, kleisli_compose,
-                        pair_name, skey, split_key, tensor_complex,
-                        unpair_name)
+                        pair_name, simplex_lists, skey, split_key,
+                        strings, tensor_complex, unpair_name)
 from .errors import CompositionError, DomainError, ResourceLimitError
 
 
@@ -117,14 +117,18 @@ class EventScenario:
 
     @classmethod
     def from_json(cls, obj, check_names=True):
+        if not isinstance(obj, dict):
+            raise DomainError("an event scenario must be a JSON object")
         base = SimplicialComplex.from_json(obj["complex"],
                                            check_names=check_names)
         sets, tables = obj["sets"], obj.get("restrictions", {})
         if not isinstance(sets, dict) or \
-                not all(isinstance(v, list) for v in sets.values()):
-            raise DomainError("sets must map simplex keys to outcome lists")
+                not all(map(strings, sets.values())):
+            raise DomainError("sets must map simplex keys to lists of "
+                              "outcome strings")
         if not isinstance(tables, dict) or \
-                not all(isinstance(t, dict) for t in tables.values()):
+                not all(isinstance(t, dict) and strings(list(t.values()))
+                        for t in tables.values()):
             raise DomainError("restrictions must map <simplex>><face> keys "
                               "to objects of outcomes")
         pairs = {"%s>%s" % (skey(sigma), skey(tau)): (sigma, tau)
@@ -140,12 +144,16 @@ class EventScenario:
 
 
 def validate_event_scenario(scn):
-    """Check non-triviality, local surjectivity (with path independence),
-    and locality via the vertex-product criterion.  Returns a report."""
+    """Check non-triviality, distinct outcomes, local surjectivity (with
+    path independence), and locality via the vertex-product criterion.
+    Returns a report."""
     failures = []
     for sigma in scn.base.simplices():
         if not scn.sets[sigma]:
             failures.append({"axiom": "non-triviality", "simplex": skey(sigma)})
+        elif len(set(scn.sets[sigma])) != len(scn.sets[sigma]):
+            failures.append({"axiom": "distinct-outcomes",
+                             "simplex": skey(sigma)})
     for (sigma, tau), table in scn.codim1.items():
         if set(table.values()) != set(scn.sets[tau]):
             failures.append({"axiom": "local-surjectivity",
@@ -217,7 +225,12 @@ class StandardScenario:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["contexts"], obj["outcomes"])
+        outcomes = obj["outcomes"]
+        if not isinstance(outcomes, dict) or \
+                not all(map(strings, outcomes.values())):
+            raise DomainError("outcomes must map vertices to lists of "
+                              "outcome strings")
+        return cls(simplex_lists(obj["contexts"], "contexts"), outcomes)
 
 
 def product_outcome(components):

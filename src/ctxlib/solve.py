@@ -1,10 +1,11 @@
 """Empirical models and the exact contextuality decision procedure.
 
 Feasibility of the noncontextuality polytope is decided by a phase-1 simplex
-method with Bland's anti-cycling rule on a fraction-free tableau: integer
-rows over one positive denominator each.  Infeasible systems come with a
-Farkas certificate (a rational dual vector) that third parties can re-verify
-without running the solver.
+method on a fraction-free tableau (integer rows over one positive
+denominator each), with Dantzig's entering rule and Bland's as a fallback
+against cycling.  Infeasible systems come with a Farkas certificate (a
+rational dual vector) that third parties can re-verify without running the
+solver.
 """
 
 from fractions import Fraction
@@ -18,13 +19,16 @@ from .sset import SimplicialDistribution, sections, zeta_inverse
 
 
 def _exact(v):
-    return v if isinstance(v, (Fraction, int)) else rat(v)
+    return v if type(v) in (Fraction, int, bool) else rat(v)
+
+
+_BLAND_AFTER = 50   # degenerate pivots in a row before Bland's rule
 
 
 class LPProblem:
     """Equality constraints A x = b over nonnegative rational variables."""
 
-    __slots__ = ("A", "b", "columns")
+    __slots__ = ("A", "b", "columns", "_rows")
 
     def __init__(self, A, b, columns=None):
         self.A = [[_exact(v) for v in row] for row in A]
@@ -38,10 +42,23 @@ class LPProblem:
         if self.columns is not None and self.A and \
                 len(self.columns) != len(self.A[0]):
             raise DomainError("column label count mismatch")
+        self._rows = None
 
     @property
     def ncols(self):
         return len(self.A[0]) if self.A else 0
+
+    def _integer_rows(self):
+        """Row i of [A | b] as (nums, den, support): ints over a positive
+        denominator, and the columns where A is nonzero.  Built once."""
+        if self._rows is None:
+            self._rows = []
+            for a, b in zip(self.A, self.b):
+                den = lcm(b.denominator, *{v.denominator for v in a})
+                self._rows.append(
+                    ([v.numerator * (den // v.denominator) for v in [*a, b]],
+                     den, [j for j, v in enumerate(a) if v]))
+        return self._rows
 
 
 def _reduced(nums, den):
@@ -60,28 +77,34 @@ def lp_feasible(prob):
 
     Tableau row i is rows[i] / dens[i], the objective row obj / oden: lists
     of ints over a positive denominator, gcd-reduced after every update.
+    The entering column has the largest objective entry, or the first
+    positive one after _BLAND_AFTER degenerate pivots in a row.
     """
     m = len(prob.A)
     n = prob.ncols
     if m == 0:
         return "feasible", [ZERO] * n
-    sign = [1 if b >= 0 else -1 for b in prob.b]
-    rows, dens = [], []
-    for i, (a, b) in enumerate(zip(prob.A, prob.b)):
-        den = lcm(b.denominator, *(v.denominator for v in a))
-        row = [sign[i] * v.numerator * (den // v.denominator) for v in [*a, b]]
-        row[n:n] = [den if k == i else 0 for k in range(m)]
+    rows, dens, sign = [], [], []
+    oden = lcm(*(den for _, den, _ in prob._integer_rows()))
+    obj = [0] * n + [oden] * m + [0]
+    for i, (nums, den, support) in enumerate(prob._integer_rows()):
+        sign.append(1 if nums[-1] >= 0 else -1)
+        row = [sign[i] * v for v in nums]
+        row[n:n] = [0] * m
+        row[n + i], f = den, oden // den
+        for j in support:
+            obj[j] += f * row[j]
+        obj[-1] += f * row[-1]
         rows.append(row)
         dens.append(den)
-    oden = lcm(*dens)
-    scale = [oden // den for den in dens]
-    obj, oden = _reduced([sum(row[j] * f for row, f in zip(rows, scale))
-                          for j in range(n + m + 1)], oden)
-    basis = list(range(n, n + m))
+    obj, oden = _reduced(obj, oden)
+    basis, stalled = list(range(n, n + m)), 0
     while True:
-        enter = next((j for j in range(n) if obj[j] > 0), None)
-        if enter is None:
+        top = max(obj[:n], default=0)
+        if top <= 0:
             break
+        enter = obj.index(top) if stalled < _BLAND_AFTER else \
+            next(j for j, v in enumerate(obj) if v > 0)
         # minimum ratio rhs/coef over positive coef (the row denominator
         # cancels), compared by cross-multiplying; ties go to the smallest
         # basis index
@@ -99,6 +122,7 @@ def lp_feasible(prob):
             # the phase-1 objective is bounded below by zero, so an
             # unbounded entering column cannot happen; guard anyway
             raise DomainError("phase-1 simplex detected an unbounded ray")
+        stalled = stalled + 1 if best_rhs == 0 else 0
         prow, piv = _reduced(rows[leave], rows[leave][enter])
         rows[leave], dens[leave] = prow, piv
         for i, row in enumerate(rows):
@@ -122,31 +146,37 @@ def lp_feasible(prob):
     return "feasible", x
 
 
+def _scaled(values):
+    """(ints, d): the rationals values as ints over their lcm denominator d."""
+    values = [rat(q) for q in values]
+    d = lcm(*{q.denominator for q in values})
+    return [q.numerator * (d // q.denominator) for q in values], d
+
+
 def verify_certificate(prob, y):
     """Exact re-check of a Farkas certificate against the system: yA <= 0
-    on every column and y.b > 0, summing over nonzero terms only."""
-    y = [rat(v) for v in y]
+    on every column and y.b > 0, with y scaled to integers and summing over
+    nonzero terms only."""
+    y, _ = _scaled(y)
     if len(y) != len(prob.A):
         return False
     ya = [0] * prob.ncols
     for yi, row in zip(y, prob.A):
         if yi:
-            for j, a in enumerate(row):
-                if a:
-                    ya[j] += yi * a
+            ya = [s + yi * a if a else s for s, a in zip(ya, row)]
     if any(v > 0 for v in ya):
         return False
     return sum(yi * bi for yi, bi in zip(y, prob.b) if yi) > 0
 
 
 def verify_witness(prob, x):
-    """Exact re-check of a feasible point: x >= 0 and A x = b, summing over
-    the support of x only."""
-    x = [rat(v) for v in x]
+    """Exact re-check of a feasible point: x >= 0 and A (d x) = d b for
+    integers d x over one d, summing over the support of x only."""
+    x, d = _scaled(x)
     if len(x) != prob.ncols or any(v < 0 for v in x):
         return False
     support = [(j, v) for j, v in enumerate(x) if v]
-    return all(sum(row[j] * v for j, v in support) == b
+    return all(sum(row[j] * v for j, v in support) == b * d
                for row, b in zip(prob.A, prob.b))
 
 
@@ -314,11 +344,11 @@ def _marginal_lp(secs, sites):
     marginal at every site.  sites yields (values, outcomes, p): the value of
     each section at the site, the site's outcomes in row order, and the
     marginal there."""
-    A = [[ONE] * len(secs)]
+    A = [[1] * len(secs)]
     b = [ONE]
     for values, outcomes, p in sites:
         for o in outcomes:
-            A.append([ONE if v == o else ZERO for v in values])
+            A.append([1 if v == o else 0 for v in values])
             b.append(p(o))
     return LPProblem(A, b, columns=[s.key() for s in secs])
 

@@ -16,7 +16,7 @@ cross-check on it.
 from fractions import Fraction
 from itertools import combinations, product
 
-from ctxlib.dist import ONE, ZERO
+from ctxlib.dist import ONE, ZERO, rat
 from ctxlib.bundles import _pi_choices
 from ctxlib.errors import DomainError, ResourceLimitError
 from ctxlib.complexes import pair_name, skey
@@ -87,8 +87,77 @@ def in_hull(target, vertices):
     return False
 
 
-def lp_feasible_fraction(prob):
+def lp_feasible_fraction(prob, bland_after=50, log=None):
     """Decide A x = b, x >= 0 exactly.
+
+    Returns ("feasible", x) or ("infeasible", y) where y is a Farkas
+    certificate: yA <= 0 on every column and y.b > 0.
+
+    The entering column has the largest objective entry, ties to the
+    smallest index, except from the bland_after-th degenerate pivot in a
+    row (zero right-hand side in the leaving row) until the next
+    nondegenerate one, where it is the first positive entry.  If log is a
+    list, each pivot appends (rule, entering column, largest-entry column).
+    """
+    m = len(prob.A)
+    n = prob.ncols
+    if m == 0:
+        return "feasible", [ZERO] * n
+    sign = [ONE if prob.b[i] >= 0 else -ONE for i in range(m)]
+    rows = []
+    for i in range(m):
+        row = [sign[i] * v for v in prob.A[i]]
+        row += [ONE if k == i else ZERO for k in range(m)]
+        row.append(sign[i] * prob.b[i])
+        rows.append(row)
+    obj = [sum(rows[i][j] for i in range(m)) for j in range(n + m + 1)]
+    basis = [n + i for i in range(m)]
+    stalled = 0
+    while True:
+        positive = [j for j in range(n) if obj[j] > 0]
+        if not positive:
+            break
+        dantzig = max(positive, key=lambda j: (obj[j], -j))
+        rule = "dantzig" if stalled < bland_after else "bland"
+        enter = dantzig if rule == "dantzig" else positive[0]
+        if log is not None:
+            log.append((rule, enter, dantzig))
+        best = None
+        for i in range(m):
+            coef = rows[i][enter]
+            if coef > 0:
+                ratio = rows[i][-1] / coef
+                if best is None or ratio < best[0] or \
+                        (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            # the phase-1 objective is bounded below by zero, so an
+            # unbounded entering column cannot happen; guard anyway
+            raise DomainError("phase-1 simplex detected an unbounded ray")
+        ratio, leave = best
+        stalled = stalled + 1 if ratio == 0 else 0
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                coef = rows[i][enter]
+                rows[i] = [a - coef * b for a, b in zip(rows[i], rows[leave])]
+        if obj[enter] != 0:
+            coef = obj[enter]
+            obj = [a - coef * b for a, b in zip(obj, rows[leave])]
+        basis[leave] = enter
+    if obj[-1] > 0:
+        cert = [sign[i] * obj[n + i] for i in range(m)]
+        return "infeasible", cert
+    x = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rows[i][-1]
+    return "feasible", x
+
+
+def lp_feasible_bland(prob):
+    """Decide A x = b, x >= 0 exactly, entering by Bland's rule throughout.
 
     Returns ("feasible", x) or ("infeasible", y) where y is a Farkas
     certificate: yA <= 0 on every column and y.b > 0.
@@ -141,6 +210,34 @@ def lp_feasible_fraction(prob):
         if basis[i] < n:
             x[basis[i]] = rows[i][-1]
     return "feasible", x
+
+
+def verify_certificate_fraction(prob, y):
+    """Exact re-check of a Farkas certificate in Fractions: yA <= 0 on
+    every column and y.b > 0, summing over nonzero terms only."""
+    y = [rat(v) for v in y]
+    if len(y) != len(prob.A):
+        return False
+    ya = [0] * prob.ncols
+    for yi, row in zip(y, prob.A):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    ya[j] += yi * a
+    if any(v > 0 for v in ya):
+        return False
+    return sum(yi * bi for yi, bi in zip(y, prob.b) if yi) > 0
+
+
+def verify_witness_fraction(prob, x):
+    """Exact re-check of a feasible point in Fractions: x >= 0 and A x = b,
+    summing over the support of x only."""
+    x = [rat(v) for v in x]
+    if len(x) != prob.ncols or any(v < 0 for v in x):
+        return False
+    support = [(j, v) for j, v in enumerate(x) if v]
+    return all(sum(row[j] * v for j, v in support) == b
+               for row, b in zip(prob.A, prob.b))
 
 
 def enumerate_sset_maps_bfs(X, Y, candidates, cap=10 ** 6):

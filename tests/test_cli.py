@@ -130,6 +130,32 @@ class TestSectionsAndTensor:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-input"
 
+    @pytest.mark.parametrize("maximal", [[5], [[["x"], "a"]], ["ab"]],
+                             ids=["simplex-number", "name-list",
+                                  "simplex-string"])
+    def test_malformed_maximal_simplex_is_invalid_input(self, capsys,
+                                                        tmp_path, maximal):
+        bad = write(tmp_path, "bad.json", {"maximal": maximal})
+        assert main(["validate", bad]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
+
+    def test_repeated_outcome_rejected(self, capsys, tmp_path):
+        g = write(tmp_path, "g.json", {
+            "kind": "event", "complex": {"maximal": [["u"]]},
+            "sets": {"u": ["0", "0"]}, "restrictions": {}})
+        code, out = run(capsys, ["validate", g])
+        assert code == 1 and out["failures"] == [
+            {"axiom": "distinct-outcomes", "simplex": "u"}]
+        f = write(tmp_path, "f.json", standard([["a"]]).to_json())
+        assert main(["map", "--kind", "event", f, g]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
+
     def test_vertex_name_with_restriction_separator(self, capsys, tmp_path):
         scn = event_presheaf(standard([["a>b", "c"]]))
         path = write(tmp_path, "scn.json", scn.to_json())
@@ -226,6 +252,13 @@ class TestMap:
 
 
 class TestCheckAndVerify:
+    def test_model_without_scenario_is_invalid_input(self, capsys,
+                                                     pr_model):
+        assert main(["validate", pr_model]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
+
     def test_pr_box_contextual(self, capsys, tmp_path, chsh, pr_model):
         vpath = str(tmp_path / "verdict.json")
         code = main(["check", "--scenario", chsh, "--model", pr_model,
@@ -336,6 +369,12 @@ class TestPush:
                                  "--model", model])
         assert code == 0
         assert out["distributions"] == PATH_MODEL["distributions"]
+        for field, value in (("relation", []), ("components", {"a1": []})):
+            bad = write(tmp_path, "bad.json", {**morphism, field: value})
+            assert main(["push", "--morphism", bad, "--model", model]) == 1
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "invalid-input"
 
 
 class TestDecompose:
@@ -372,6 +411,18 @@ class TestDecompose:
         assert out["verdict"] == "noncontextual"
         total = sum(rat(p["weight"]) for p in out["decomposition"])
         assert total == 1
+
+    def test_malformed_mapping_bundles_is_invalid_input(self, capsys,
+                                                        tmp_path):
+        spec, model = self._fixture(tmp_path)
+        good = json.loads(open(spec).read())
+        for field, value in (("f", []), ("d", "1"), ("d", 1.5)):
+            bad = write(tmp_path, "bad.json", {**good, field: value})
+            assert main(["decompose", "--scenario", bad,
+                         "--model", model]) == 1
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "invalid-input"
 
     @pytest.mark.parametrize("payload", [
         {"kind": "model", "distributions": []},

@@ -82,6 +82,15 @@ class TestValidation:
         profiles = cover_profile(scn, edge, [{"a"}, {"b"}])
         assert profiles["s"] == profiles["t"]
 
+    def test_repeated_outcome_fails(self):
+        point = SimplicialComplex([{"u"}])
+        scn = EventScenario(point, {frozenset(["u"]): ("0", "0")}, {})
+        report = validate_event_scenario(scn)
+        assert report["failures"] == [{"axiom": "distinct-outcomes",
+                                       "simplex": "u"}]
+        with pytest.raises(DomainError, match="distinct-outcomes"):
+            mapping_event_scenario(event_presheaf(standard([["a"]])), scn)
+
     def test_vertex_names_with_restriction_separator_round_trip(self):
         scn = event_presheaf(standard([["a>b", "c"]]))
         assert validate_event_scenario(scn)["ok"]

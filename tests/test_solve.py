@@ -28,8 +28,9 @@ from ctxlib.sset import (apply_operator, enumerate_det_morphisms,
                          sections, theta_simplicial, zeta,
                          SimplicialDistribution,
                          validate_simplicial_distribution)
-from helpers import (coordinates, every_degree_lp, in_hull,
-                     lp_feasible_fraction, model_vector)
+from helpers import (coordinates, every_degree_lp, in_hull, lp_feasible_bland,
+                     lp_feasible_fraction, model_vector,
+                     verify_certificate_fraction, verify_witness_fraction)
 
 F = Fraction
 
@@ -123,20 +124,71 @@ def serialized(status, data, keys):
             "witness": {k: rat_str(v) for k, v in zip(keys, data) if v > 0}}
 
 
+def bell_3x3_mixture():
+    """A noncontextual 3x3x2 Bell model: uniform over the global sections
+    with extra weight on four of them."""
+    scn = bell_scn(3)
+    secs = global_sections(scn)
+    uniform = F(1, 3 * len(secs))
+    weights = {s.key(): uniform for s in secs}
+    for k in (3, 17, 40, 61):
+        weights[secs[k].key()] += F(1, 6)
+    return scn, theta_event(scn, secs, Dist(weights))
+
+
 class TestIntegerTableau:
-    """The integer-row tableau against the dense Fraction tableau it
-    replaced (helpers.lp_feasible_fraction): same pivots, same answers."""
+    """The integer-row tableau against the dense Fraction tableau with the
+    same entering rule (helpers.lp_feasible_fraction): same pivots, same
+    answers; and against the Bland-only Fraction tableau it replaced
+    (helpers.lp_feasible_bland)."""
 
     @given(small_systems())
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_fraction_tableau(self, prob):
         status, data = lp_feasible(prob)
         assert (status, data) == lp_feasible_fraction(prob)
+        assert status == lp_feasible_bland(prob)[0]
         assert all(type(v) is Fraction for v in data)
         if status == "feasible":
             assert verify_witness(prob, data)
         else:
             assert verify_certificate(prob, data)
+
+    @given(small_systems())
+    @settings(max_examples=100, deadline=None)
+    def test_bland_throughout_when_fallback_is_immediate(self, prob):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solve, "_BLAND_AFTER", 0)
+            assert lp_feasible(prob) == lp_feasible_bland(prob)
+
+    def test_fallback_after_one_degenerate_pivot(self, monkeypatch):
+        """With the fallback after every degenerate pivot, the mixture LP
+        enters by Bland's rule where it differs from the largest entry, and
+        the answer matches the oracle with the same rule and verifies."""
+        monkeypatch.setattr(solve, "_BLAND_AFTER", 1)
+        scn, model = bell_3x3_mixture()
+        verdict = check_contextuality(scn, model)
+        log = []
+        oracle = lp_feasible_fraction(verdict.problem, bland_after=1, log=log)
+        assert any(rule == "bland" and enter != largest
+                   for rule, enter, largest in log)
+        assert oracle[0] == "feasible"
+        assert verdict.to_json() == serialized(*oracle, verdict.section_keys)
+        r = make_rng(11)
+        for trial in range(100):
+            m, n = r.randint(1, 5), r.randint(1, 7)
+            A = [[F(r.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+            x0 = [F(r.choice((0, 0, 1, 2))) for _ in range(n)]
+            b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+            if trial % 2:
+                b = [F(r.randint(-2, 2)) for _ in range(m)]
+            prob = LPProblem(A, b)
+            status, data = lp_feasible(prob)
+            assert (status, data) == lp_feasible_fraction(prob, bland_after=1)
+            if status == "feasible":
+                assert verify_witness(prob, data)
+            else:
+                assert trial % 2 and verify_certificate(prob, data)
 
     def test_pr_box_certificate_identical(self, chsh_scn):
         verdict = check_contextuality(chsh_scn,
@@ -146,14 +198,7 @@ class TestIntegerTableau:
         assert verdict.to_json() == serialized(*oracle, verdict.section_keys)
 
     def test_bell_3x3_mixture_witness_identical(self):
-        scn = bell_scn(3)
-        secs = global_sections(scn)
-        uniform = F(1, 3 * len(secs))
-        weights = {s.key(): uniform for s in secs}
-        for k in (3, 17, 40, 61):
-            weights[secs[k].key()] += F(1, 6)
-        verdict = check_contextuality(
-            scn, theta_event(scn, secs, Dist(weights)))
+        verdict = check_contextuality(*bell_3x3_mixture())
         oracle = lp_feasible_fraction(verdict.problem)
         assert oracle[0] == "feasible"
         assert verdict.to_json() == serialized(*oracle, verdict.section_keys)
@@ -184,6 +229,41 @@ class TestIntegerTableau:
         moved[off] += F(1, 97)
         moved[j] -= F(1, 97)
         assert not verify_witness(verdict.problem, moved)
+
+
+@st.composite
+def perturbed(draw, v):
+    """v unchanged, one entry longer or shorter, with one entry replaced,
+    negated throughout, or spelled as strings."""
+    v = list(v)
+    how = draw(st.sampled_from(["same", "append", "drop", "replace",
+                                "negate", "strings"]))
+    if how == "append":
+        v.append(draw(ENTRY))
+    elif how == "drop" and v:
+        v.pop()
+    elif how == "replace" and v:
+        v[draw(st.integers(0, len(v) - 1))] = draw(st.one_of(
+            ENTRY, st.just(F(-1, 97)), st.just(F(1, 97))))
+    elif how == "negate":
+        v = [-q for q in v]
+    elif how == "strings":
+        v = [rat_str(q) for q in v]
+    return v
+
+
+class TestIntegerVerifiers:
+    """The integer verifiers against the Fraction ones they replaced
+    (helpers.verify_certificate_fraction, verify_witness_fraction): the same
+    answer on the solver's vectors and on perturbations of them."""
+
+    @given(small_systems(), st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_agree_with_fraction_verifiers(self, prob, data):
+        v = data.draw(perturbed(lp_feasible(prob)[1]))
+        assert verify_certificate(prob, v) == \
+            verify_certificate_fraction(prob, v)
+        assert verify_witness(prob, v) == verify_witness_fraction(prob, v)
 
 
 class TestEmpiricalModel:
