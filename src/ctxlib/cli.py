@@ -4,28 +4,15 @@ One verb per construction: validate, convert, tensor, sections,
 nerve-complex, nerve, map, push, check, decompose, verify-certificate, laws.
 All payloads are JSON; output goes to stdout unless -o is given.  Exit codes:
 0 success, 1 validation failure, bad input or usage error, 2 contextual
-verdict, 3 resource cap.
+verdict, 3 resource cap.  Each verb imports the modules it runs in its own
+function, so a `ctx` process loads, or compiles from source, only those.
 """
 
 import argparse
 import json
 import sys
 
-from .bundles import BundleScenario, mapping_bundle_scenario, to_event, \
-    validate_bundle
-from .complexes import SimplicialComplex, SimplicialRelation, nerve_complex, \
-    skey, simplex_from_key, strings
-from .dist import Dist, rat, rat_str
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .events import EventMorphism, EventScenario, StandardScenario, \
-    element_name, elements, event_presheaf, global_sections, \
-    mapping_event_scenario, tensor_event, validate_event_morphism, \
-    validate_event_scenario
-from .laws import run_suite
-from .sset import SimplicialDistribution, mapping_simplicial, nerve_bundle
-from .solve import EmpiricalModel, check_contextuality, \
-    decompose_noncontextual, noncontextuality_lp, theta_event, \
-    push_empirical, validate_empirical, verify_certificate
 
 
 def _load(path):
@@ -46,6 +33,7 @@ def _emit(obj, out):
 
 
 def load_scenario(path):
+    from .events import EventScenario, StandardScenario, event_presheaf
     obj = _load(path)
     kind = obj.get("kind")
     if kind == "event":
@@ -53,12 +41,14 @@ def load_scenario(path):
     if kind == "standard":
         return event_presheaf(StandardScenario.from_json(obj))
     if kind == "bundle":
+        from .bundles import BundleScenario, to_event
         return to_event(BundleScenario.from_json(obj))
     raise DomainError("file %s does not hold a scenario (kind=%r)"
                       % (path, kind))
 
 
 def load_model(path, scn):
+    from .solve import EmpiricalModel
     obj = _load(path)
     if obj.get("kind") != "model":
         raise DomainError("file %s does not hold a model" % path)
@@ -68,6 +58,8 @@ def load_model(path, scn):
 def load_simplicial_distribution(path):
     """A distribution on a mapping space: "<degree>:<simplex>" keys mapping
     to objects of outcome weights, as SimplicialDistribution.to_json writes."""
+    from .dist import Dist, rat
+    from .sset import SimplicialDistribution
     tables = _load(path).get("distributions")
     if not isinstance(tables, dict) or \
             not all(isinstance(t, dict) for t in tables.values()):
@@ -84,6 +76,8 @@ def load_simplicial_distribution(path):
 
 
 def load_morphism(path):
+    from .complexes import SimplicialRelation, simplex_from_key, strings
+    from .events import EventMorphism, EventScenario
     obj = _load(path)
     if obj.get("kind") != "morphism":
         raise DomainError("file %s does not hold a morphism" % path)
@@ -118,10 +112,13 @@ def cmd_validate(args):
     obj = _load(args.input)
     kind = obj.get("kind")
     if kind == "bundle":
+        from .bundles import BundleScenario, validate_bundle
         report = validate_bundle(BundleScenario.from_json(obj))
     elif kind in ("event", "standard"):
+        from .events import validate_event_scenario
         report = validate_event_scenario(load_scenario(args.input))
     elif kind == "model":
+        from .solve import validate_empirical
         if args.scenario is None:
             raise DomainError("validating a model needs --scenario")
         scn = load_scenario(args.scenario)
@@ -129,6 +126,7 @@ def cmd_validate(args):
         report = validate_empirical(scn, model.dists)
         report = {"ok": report["ok"], "failures": report["failures"]}
     elif "maximal" in obj:
+        from .complexes import SimplicialComplex
         SimplicialComplex.from_json(obj)
         report = {"ok": True, "failures": []}
     else:
@@ -138,6 +136,8 @@ def cmd_validate(args):
 
 
 def cmd_convert(args):
+    from .complexes import skey
+    from .events import element_name, elements, validate_event_scenario
     scn = load_scenario(args.input)
     report = validate_event_scenario(scn)
     if not report["ok"]:
@@ -158,6 +158,7 @@ def cmd_convert(args):
 
 
 def cmd_tensor(args):
+    from .events import tensor_event
     s1 = load_scenario(args.inputs[0])
     s2 = load_scenario(args.inputs[1])
     _emit(tensor_event(s1, s2).to_json(), args.output)
@@ -165,6 +166,7 @@ def cmd_tensor(args):
 
 
 def cmd_sections(args):
+    from .events import global_sections
     scn = load_scenario(args.input)
     secs = global_sections(scn, cap=args.cap)
     _emit({"count": len(secs), "sections": [s.key() for s in secs]},
@@ -173,12 +175,15 @@ def cmd_sections(args):
 
 
 def cmd_nerve_complex(args):
+    from .complexes import SimplicialComplex, nerve_complex
     cpx = SimplicialComplex.from_json(_load(args.input))
     _emit(nerve_complex(cpx).to_json(), args.output)
     return 0
 
 
 def cmd_nerve(args):
+    from .bundles import BundleScenario, validate_bundle
+    from .sset import nerve_bundle
     bnd = BundleScenario.from_json(_load(args.input))
     report = validate_bundle(bnd)
     if not report["ok"]:
@@ -191,16 +196,20 @@ def cmd_nerve(args):
 
 def cmd_map(args):
     if args.kind == "event":
+        from .events import mapping_event_scenario
         f = load_scenario(args.inputs[0])
         g = load_scenario(args.inputs[1])
         mapped, _ = mapping_event_scenario(f, g, cap=args.cap)
         _emit(mapped.to_json(), args.output)
     elif args.kind == "bundle":
+        from .bundles import BundleScenario, mapping_bundle_scenario
         bf = BundleScenario.from_json(_load(args.inputs[0]))
         bg = BundleScenario.from_json(_load(args.inputs[1]))
         bnd, _, _ = mapping_bundle_scenario(bf, bg, cap=args.cap)
         _emit(bnd.to_json(), args.output)
     else:
+        from .bundles import BundleScenario
+        from .sset import mapping_simplicial, nerve_bundle
         bf = BundleScenario.from_json(_load(args.inputs[0]))
         bg = BundleScenario.from_json(_load(args.inputs[1]))
         d = args.truncate
@@ -212,6 +221,8 @@ def cmd_map(args):
 
 
 def cmd_push(args):
+    from .events import validate_event_morphism
+    from .solve import push_empirical
     mor = load_morphism(args.morphism)
     report = validate_event_morphism(mor)
     if not report["ok"]:
@@ -223,6 +234,7 @@ def cmd_push(args):
 
 
 def cmd_check(args):
+    from .solve import check_contextuality
     scn = load_scenario(args.scenario)
     model = load_model(args.model, scn)
     verdict = check_contextuality(scn, model, cap=args.cap)
@@ -231,34 +243,41 @@ def cmd_check(args):
 
 
 def cmd_verify_certificate(args):
+    from .dist import Dist, rat
+    from .events import global_sections
+    from .solve import noncontextuality_lp, theta_event, verify_certificate
     scn = load_scenario(args.scenario)
     model = load_model(args.model, scn)
     verdict_obj = _load(args.input)
-    secs = global_sections(scn, cap=args.cap)
-    prob = noncontextuality_lp(scn, model, secs)
-    keys = prob.columns
-    if verdict_obj.get("verdict") == "contextual":
+    contextual = verdict_obj.get("verdict") == "contextual"
+    if contextual:
         cert = verdict_obj.get("certificate")
         if not isinstance(cert, dict) or not isinstance(cert.get("y"), list):
             raise DomainError("file %s: certificate must be an object whose "
                               "y is a list of weights" % args.input)
         y = [rat(v) for v in cert["y"]]
-        ok = verify_certificate(prob, y)
     else:
         w = verdict_obj.get("witness")
         if not isinstance(w, dict):
             raise DomainError("file %s: witness must map section keys to "
                               "weights" % args.input)
         q = Dist({k: rat(v) for k, v in w.items()})
-        if any(k not in set(keys) for k in w):
-            ok = False
-        else:
-            ok = theta_event(scn, secs, q).dists == model.dists
+    secs = global_sections(scn, cap=args.cap)
+    prob = noncontextuality_lp(scn, model, secs)
+    if contextual:
+        ok = verify_certificate(prob, y)
+    else:
+        ok = set(w) <= set(prob.columns) and \
+            theta_event(scn, secs, q).dists == model.dists
     _emit({"verified": bool(ok)}, args.output)
     return 0 if ok else 1
 
 
 def cmd_decompose(args):
+    from .bundles import BundleScenario
+    from .dist import rat_str
+    from .solve import decompose_noncontextual
+    from .sset import coverage_failures, mapping_simplicial, nerve_bundle
     spec = _load(args.scenario)
     if spec.get("kind") != "mapping-bundles":
         raise DomainError("decompose expects a mapping-bundles file")
@@ -267,10 +286,14 @@ def cmd_decompose(args):
     d = spec.get("d", args.truncate)
     if d is not None and type(d) is not int:
         raise DomainError("d must be an integer")
+    sd = load_simplicial_distribution(args.model)
     nf = nerve_bundle(bf, d=d)
     ng = nerve_bundle(bg, d=d)
+    # checked before the mapping space is built: it grows steeply with d
+    missing = coverage_failures(ng.target, sd)
+    if missing:
+        raise DomainError("invalid simplicial distribution: %s" % missing[:3])
     ms = mapping_simplicial(nf, ng, cap=args.cap)
-    sd = load_simplicial_distribution(args.model)
     try:
         parts = decompose_noncontextual(ms, sd, cap=args.cap)
     except PreconditionError as err:
@@ -286,6 +309,7 @@ def cmd_decompose(args):
 
 
 def cmd_laws(args):
+    from .laws import run_suite
     report = run_suite(args.suite, args.trials, args.seed)
     _emit(report, args.output)
     return 0 if report["ok"] else 1

@@ -15,7 +15,6 @@ from .complexes import skey
 from .dist import ONE, ZERO, Dist, mixture, pushforward, rat, rat_str
 from .errors import DomainError, PreconditionError
 from .events import global_sections
-from .sset import SimplicialDistribution, sections, zeta_inverse
 
 
 def _exact(v):
@@ -378,7 +377,7 @@ def check_contextuality_simplicial(fmap, sd, cap=10 ** 6):
     face of one of its degeneracies, so the lower constraints follow from
     the face marginals of a valid simplicial distribution.
     """
-    from .sset import validate_simplicial_distribution
+    from .sset import sections, validate_simplicial_distribution
     report = validate_simplicial_distribution(fmap, sd)
     if not report["ok"]:
         raise DomainError("invalid simplicial distribution: %s"
@@ -398,7 +397,7 @@ def simplicial_of_empirical(bnd, scn, model, nerve_scn):
     """Transfer a model on the event scenario of a bundle to a simplicial
     distribution on the bundle's nerve, via the fiber identification that
     sends a simplex over the union to its tuple of faces."""
-    from .sset import nerve_tuple_id, EMPTY
+    from .sset import EMPTY, SimplicialDistribution, nerve_tuple_id
     derived = model.derived()
     NT = nerve_scn.source
     NB = nerve_scn.target
@@ -440,6 +439,7 @@ def decompose_noncontextual(mspace, sd, cap=10 ** 6):
     Raises a precondition error carrying the Farkas certificate when the
     distribution is contextual.
     """
+    from .sset import zeta_inverse
     verdict = check_contextuality_simplicial(mspace.proj, sd, cap=cap)
     if verdict.contextual:
         err = PreconditionError("distribution on the mapping space is "

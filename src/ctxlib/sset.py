@@ -531,17 +531,21 @@ class SimplicialDistribution:
                 for (n, x), p in sorted(self.table.items())}
 
 
+def coverage_failures(X, sd):
+    """The simplices of X at which sd has no distribution."""
+    return [{"law": "coverage", "simplex": (n, x)}
+            for n in range(X.d + 1) for x in X.simp[n]
+            if (n, x) not in sd.table]
+
+
 def validate_simplicial_distribution(fmap, sd):
-    failures = []
     X, E = fmap.target, fmap.source
+    failures = coverage_failures(X, sd)
     for n in range(X.d + 1):
         for x in X.simp[n]:
             p = sd.table.get((n, x))
-            if p is None:
-                failures.append({"law": "coverage", "simplex": (n, x)})
-                continue
-            fib = set(fmap.fiber(n, x))
-            if any(e not in fib for e in p.support()):
+            if p is not None and \
+                    not set(p.support()) <= set(fmap.fiber(n, x)):
                 failures.append({"law": "support", "simplex": (n, x)})
     if failures:
         return {"ok": False, "failures": failures}

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import CHSH_CONTEXTS, PATH1_CONTEXTS, PATH2_CONTEXTS, \
     PR_BOX_TABLE, standard
+from ctxlib import sset
 from ctxlib.cli import main
 from ctxlib.dist import rat
 from ctxlib.rand import make_rng, rand_dist
@@ -250,6 +251,20 @@ class TestMap:
         golden = GOLDEN / "map_simplicial_point_edge.json"
         assert capsys.readouterr().out == golden.read_text()
 
+    def test_bundle_kind_matches_golden_output(self, capsys, tmp_path):
+        points = BundleScenario(SimplicialComplex([{"a1"}, {"a2"}]),
+                                SimplicialComplex([{"u"}]),
+                                {"a1": "u", "a2": "u"})
+        edge = BundleScenario(
+            SimplicialComplex([{"v0", "w0"}, {"v1", "w1"}]),
+            SimplicialComplex([{"v", "w"}]),
+            {"v0": "v", "v1": "v", "w0": "w", "w1": "w"})
+        f = write(tmp_path, "f.json", points.to_json())
+        g = write(tmp_path, "g.json", edge.to_json())
+        assert main(["map", "--kind", "bundle", f, g]) == 0
+        golden = GOLDEN / "map_bundle_two_points_edge.json"
+        assert capsys.readouterr().out == golden.read_text()
+
 
 class TestCheckAndVerify:
     def test_model_without_scenario_is_invalid_input(self, capsys,
@@ -314,12 +329,16 @@ class TestCheckAndVerify:
         {"verdict": "noncontextual", "witness": [1, 2]},
         {"verdict": "contextual", "certificate": {"y": 5}},
         {"verdict": "contextual", "certificate": ["1"]},
-    ], ids=["witness-list", "certificate-y-number", "certificate-list"])
+        {"verdict": "noncontextual", "witness": {"x1=0": "abc"}},
+    ], ids=["witness-list", "certificate-y-number", "certificate-list",
+            "witness-weight-abc"])
     def test_malformed_verdict_is_invalid_input(self, capsys, tmp_path, chsh,
                                                 pr_model, verdict):
+        """CHSH has 16 global sections, so --cap 1 would exit 3 had they
+        been enumerated before the verdict file was checked."""
         bad = write(tmp_path, "bad.json", verdict)
         assert main(["verify-certificate", bad, "--scenario", chsh,
-                     "--model", pr_model]) == 1
+                     "--model", pr_model, "--cap", "1"]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-input"
@@ -423,6 +442,27 @@ class TestDecompose:
             lines = capsys.readouterr().err.strip().splitlines()
             assert len(lines) == 1
             assert json.loads(lines[0])["error"] == "invalid-input"
+
+    def test_uncovered_distribution_rejected_before_mapping_space(
+            self, capsys, tmp_path, monkeypatch):
+        """At d = 4 the degree-1 distribution misses simplices of the base,
+        and building the mapping space first took seconds.
+        mapping_simplicial constructs its MappingSpace before any other
+        work, so none may be constructed."""
+        spec, model = self._fixture(tmp_path)
+        deep = write(tmp_path, "deep.json",
+                     {**json.loads(open(spec).read()), "d": 4})
+        calls = []
+        monkeypatch.setattr(sset, "MappingSpace",
+                            lambda *args: calls.append(args))
+        assert main(["decompose", "--scenario", deep, "--model", model]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "invalid-input"
+        assert "coverage" in err["detail"]
+        assert calls == []
 
     @pytest.mark.parametrize("payload", [
         {"kind": "model", "distributions": []},

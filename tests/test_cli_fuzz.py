@@ -114,10 +114,17 @@ CASES = [(["validate", "A"], SCENARIOS + MODELS),
          (["validate", "B", "--scenario", "A"], SCENARIOS[:1], MODELS),
          (["sections", "A"], SCENARIOS),
          (["sections", "A", "--cap", "3"], SCENARIOS),
+         (["convert", "A", "--to", "event"], SCENARIOS),
+         (["convert", "A", "--to", "bundle", "--witness"], SCENARIOS),
+         (["tensor", "A", "B"], SCENARIOS[1:3], SCENARIOS[1:3]),
          (["nerve-complex", "A"], SCENARIOS[3:]),
          (["nerve", "A"], SCENARIOS[2:3]),
          (["map", "--kind", "event", "A", "B"], SCENARIOS[1:2],
           SCENARIOS[1:2]),
+         (["map", "--kind", "bundle", "A", "B", "--cap", "1000"],
+          SCENARIOS[2:3], SCENARIOS[2:3]),
+         (["map", "--kind", "simplicial", "A", "B", "--cap", "1000",
+           "--truncate", "1"], SCENARIOS[2:3], SCENARIOS[2:3]),
          (["check", "--scenario", "A", "--model", "B"], SCENARIOS[:1],
           MODELS),
          (["verify-certificate", "C", "--scenario", "A", "--model", "B"],

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PR_BOX_TABLE, model_of, standard, triangle_parity_scn
-from ctxlib import solve
+from ctxlib import solve, sset
 from ctxlib.bundles import BundleScenario, to_event
 from ctxlib.complexes import SimplicialComplex, skey
 from ctxlib.dist import Dist, delta, mixture, pushforward, rat_str
@@ -485,7 +485,7 @@ class TestDecompose:
             calls.append(args)
             return sections(*args, **kwargs)
 
-        monkeypatch.setattr(solve, "sections", counted)
+        monkeypatch.setattr(sset, "sections", counted)
         assert len(decompose_noncontextual(ms, sd)) == 1
         assert len(calls) == 1
 
