@@ -55,7 +55,7 @@ class BundleScenario:
                 "total": self.total.to_json(), "map": dict(self.vmap)}
 
     @classmethod
-    def from_json(cls, obj, check_names=True):
+    def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise DomainError("a bundle must be a JSON object")
         vmap = obj["map"]
@@ -63,11 +63,18 @@ class BundleScenario:
                 not all(isinstance(v, str) for v in vmap.values()):
             raise DomainError("map must send total vertices to base vertex "
                               "names")
-        return cls(SimplicialComplex.from_json(obj["total"],
-                                               check_names=check_names),
-                   SimplicialComplex.from_json(obj["base"],
-                                               check_names=check_names),
-                   dict(vmap))
+        return cls(SimplicialComplex.from_json(obj["total"]),
+                   SimplicialComplex.from_json(obj["base"]), dict(vmap))
+
+
+def face_over(bnd, gamma, tau):
+    """The face of gamma over tau; a bundle is discrete over vertices, so
+    there is at most one."""
+    face = frozenset(v for v in gamma if bnd.vmap[v] in tau)
+    if bnd.image(face) != tau:
+        raise DomainError("no face of %s lies over %s"
+                          % (skey(gamma), skey(tau)))
+    return face
 
 
 def face_transport(bnd, sigma, tau):
@@ -75,14 +82,7 @@ def face_transport(bnd, sigma, tau):
     sigma, tau = frozenset(sigma), frozenset(tau)
     if not tau <= sigma:
         raise DomainError("%s is not a face of %s" % (skey(tau), skey(sigma)))
-    table = {}
-    for gamma in bnd.fiber(sigma):
-        face = frozenset(v for v in gamma if bnd.vmap[v] in tau)
-        if bnd.image(face) != tau:
-            raise DomainError("no face of %s lies over %s"
-                              % (skey(gamma), skey(tau)))
-        table[gamma] = face
-    return table
+    return {gamma: face_over(bnd, gamma, tau) for gamma in bnd.fiber(sigma)}
 
 
 def validate_bundle(bnd):
@@ -133,11 +133,6 @@ def to_event(bnd):
     return EventScenario(bnd.base, sets, tables)
 
 
-def outcome_simplex(outcome_id):
-    """Decode a to_event outcome id back into a total-space simplex."""
-    return simplex_from_key(outcome_id)
-
-
 # ---------------------------------------------------------------------------
 # Pullback along a simplicial relation
 
@@ -163,10 +158,7 @@ def pullback_bundle(bnd, rel):
         for gamma in bnd.fiber(u):
             fam = []
             for x in sorted(sigma):
-                face = frozenset(v for v in gamma if bnd.vmap[v] in rel(x))
-                if bnd.image(face) != rel(x):
-                    raise DomainError("missing face over %s" % skey(rel(x)))
-                name = pullback_vertex(x, face)
+                name = pullback_vertex(x, face_over(bnd, gamma, rel(x)))
                 vmap[name] = x
                 fam.append(name)
             maxs.append(frozenset(fam))
@@ -239,13 +231,7 @@ def union_of_family(family):
 
 def family_over(bnd, base_family, gamma):
     """Inverse of the union map: the faces of gamma over each member."""
-    out = set()
-    for tau in base_family:
-        face = frozenset(v for v in gamma if bnd.vmap[v] in tau)
-        if bnd.image(face) != tau:
-            raise DomainError("no face of %s over %s" % (skey(gamma), skey(tau)))
-        out.add(face)
-    return frozenset(out)
+    return frozenset(face_over(bnd, gamma, tau) for tau in base_family)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +306,8 @@ def direct_mapping_top(bnd_f, bnd_g, sigma, pi, amap):
         u |= pi[x]
     alpha_top = {}
     for gamma in bnd_f.fiber(u):
-        fam = []
-        for x in sorted(sigma):
-            face = frozenset(v for v in gamma if bnd_f.vmap[v] in pi[x])
-            fam.append(pullback_vertex(x, face))
-        image = frozenset(amap[v] for v in fam)
+        image = frozenset(
+            amap[pullback_vertex(x, face_over(bnd_f, gamma, pi[x]))]
+            for x in sorted(sigma))
         alpha_top[skey(gamma)] = skey(image)
     return MappingElement(sigma, pi, alpha_top)

@@ -137,7 +137,7 @@ def cmd_validate(args):
 
 def cmd_convert(args):
     from .complexes import skey
-    from .events import element_name, elements, validate_event_scenario
+    from .events import element_simplex, elements, validate_event_scenario
     scn = load_scenario(args.input)
     report = validate_event_scenario(scn)
     if not report["ok"]:
@@ -149,9 +149,8 @@ def cmd_convert(args):
         out = elements(scn).to_json()
         if args.witness:
             out = {"converted": out, "witness": {"outcome-names": {
-                skey(sigma): {s: skey(frozenset(
-                    element_name(x, scn.restrict(sigma, frozenset([x]), s))
-                    for x in sigma)) for s in scn.sets[sigma]}
+                skey(sigma): {s: skey(element_simplex(scn, sigma, s))
+                              for s in scn.sets[sigma]}
                 for sigma in scn.base.simplices()}}}
     _emit(out, args.output)
     return 0
@@ -310,6 +309,8 @@ def cmd_decompose(args):
 
 def cmd_laws(args):
     from .laws import run_suite
+    if args.trials < 0:
+        raise DomainError("--trials must not be negative")
     report = run_suite(args.suite, args.trials, args.seed)
     _emit(report, args.output)
     return 0 if report["ok"] else 1

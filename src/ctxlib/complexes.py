@@ -8,7 +8,6 @@ names generated internally (nerve vertices, pair vertices) use those characters
 deliberately so canonical keys stay unambiguous.
 """
 
-import json
 from itertools import combinations
 
 from .errors import CompositionError, DomainError
@@ -153,19 +152,15 @@ class SimplicialComplex:
                 "maximal": [sorted(m) for m in self.maximal]}
 
     @classmethod
-    def from_json(cls, obj, check_names=True):
+    def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise DomainError("a complex must be a JSON object")
-        cpx = cls(simplex_lists(obj["maximal"], "maximal"),
-                  check_names=check_names)
+        cpx = cls(simplex_lists(obj["maximal"], "maximal"), check_names=True)
         declared = obj.get("vertices")
         if declared is not None and (not strings(declared) or
                                      sorted(declared) != list(cpx.vertices)):
             raise DomainError("declared vertex list disagrees with maximals")
         return cpx
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

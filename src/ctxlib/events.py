@@ -58,9 +58,6 @@ class EventScenario:
         self._res = {}
         self._profiles = {}
 
-    def outcomes(self, sigma):
-        return self.sets[frozenset(sigma)]
-
     def restriction_map(self, sigma, tau):
         """The composite restriction F(sigma) -> F(tau) for tau <= sigma."""
         sigma, tau = frozenset(sigma), frozenset(tau)
@@ -116,11 +113,10 @@ class EventScenario:
         }
 
     @classmethod
-    def from_json(cls, obj, check_names=True):
+    def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise DomainError("an event scenario must be a JSON object")
-        base = SimplicialComplex.from_json(obj["complex"],
-                                           check_names=check_names)
+        base = SimplicialComplex.from_json(obj["complex"])
         sets, tables = obj["sets"], obj.get("restrictions", {})
         if not isinstance(sets, dict) or \
                 not all(map(strings, sets.values())):
@@ -380,16 +376,25 @@ def tensor_event(f1, f2):
 
 
 class GlobalSection:
-    """A vertex assignment together with its unique lift at every simplex."""
+    """A vertex assignment together with its outcome at every maximal
+    simplex; at any other simplex the outcome is restricted on demand from
+    the first maximal simplex above it."""
 
-    __slots__ = ("assignment", "values")
+    __slots__ = ("assignment", "values", "scn")
 
-    def __init__(self, assignment, values):
+    def __init__(self, assignment, values, scn):
         self.assignment = dict(assignment)
         self.values = values
+        self.scn = scn
 
     def value_at(self, sigma):
-        return self.values[frozenset(sigma)]
+        sigma = frozenset(sigma)
+        if sigma in self.values:
+            return self.values[sigma]
+        for m in self.scn.base.maximal:
+            if sigma <= m:
+                return self.scn.restrict(m, sigma, self.values[m])
+        raise DomainError("%s is not a simplex of the base" % skey(sigma))
 
     def key(self):
         return ";".join("%s=%s" % (x, self.assignment[x])
@@ -407,13 +412,13 @@ class GlobalSection:
 
 def global_sections(scn, cap=10 ** 6):
     """All vertex assignments lifting at every maximal simplex."""
-    partials = [{}]
+    partials = [({}, ())]
     for m in scn.base.maximal:
-        index = scn.profile_index(m)
+        choices = sorted(scn.profile_index(m).items())
         verts = sorted(m)
         nxt = []
-        for part in partials:
-            for profile, s in sorted(index.items()):
+        for part, chosen in partials:
+            for profile, s in choices:
                 merged = dict(part)
                 ok = True
                 for x, o in zip(verts, profile):
@@ -422,22 +427,14 @@ def global_sections(scn, cap=10 ** 6):
                         break
                     merged[x] = o
                 if ok:
-                    nxt.append(merged)
+                    nxt.append((merged, chosen + (s,)))
             if len(nxt) > cap:
                 raise ResourceLimitError(
                     "more than %d partial sections" % cap, cap=cap,
                     estimate=len(nxt), stage="global_sections")
         partials = nxt
-    lifts = []
-    for sigma in scn.base.simplices():
-        parent = next(m for m in scn.base.maximal if sigma <= m)
-        lifts.append((sigma, sorted(parent), scn.profile_index(parent),
-                      scn.restriction_map(parent, sigma)))
-    out = []
-    for assignment in partials:
-        values = {sigma: down[index[tuple(assignment[x] for x in verts)]]
-                  for sigma, verts, index, down in lifts}
-        out.append(GlobalSection(assignment, values))
+    out = [GlobalSection(assignment, dict(zip(scn.base.maximal, chosen)), scn)
+           for assignment, chosen in partials]
     out.sort(key=lambda s: s.key())
     return out
 
@@ -451,16 +448,19 @@ def element_name(x, s):
     return pair_name(x, s)
 
 
+def element_simplex(scn, sigma, s):
+    """The simplex of elements(scn) that stands for outcome s at sigma: each
+    vertex of sigma paired with the restriction of s to it."""
+    return frozenset(map(element_name, sorted(sigma),
+                         scn.vertex_profile(sigma, s)))
+
+
 def elements(scn):
     """The bundle scenario of the category of elements."""
     from .bundles import BundleScenario
-    maxs = []
-    for sigma in scn.base.maximal:
-        for s in scn.sets[sigma]:
-            maxs.append(frozenset(
-                element_name(x, scn.restrict(sigma, frozenset([x]), s))
-                for x in sorted(sigma)))
-    total = SimplicialComplex(maxs)
+    total = SimplicialComplex([element_simplex(scn, sigma, s)
+                               for sigma in scn.base.maximal
+                               for s in scn.sets[sigma]])
     vmap = {v: unpair_name(v)[0] for v in total.vertices}
     return BundleScenario(total, scn.base, vmap)
 

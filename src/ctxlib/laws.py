@@ -14,8 +14,9 @@ from .complexes import (ComplexMap, SimplicialComplex, identity_relation,
                         tensor_relation, unit_map)
 from .dist import Dist, delta, flatten, glue, pushforward
 from .errors import ResourceLimitError
-from .events import (element_name, elements, mapping_event_scenario,
-                     tensor_event, validate_event_scenario)
+from .events import (element_name, element_simplex, elements,
+                     mapping_event_scenario, tensor_event,
+                     validate_event_scenario)
 from .rand import (make_rng, rand_bundle, rand_complex, rand_dist, rand_event,
                    rand_function, rand_lift, rand_relation,
                    rand_relation_into, rand_subset)
@@ -312,11 +313,8 @@ def check_equivalence(trials, seed):
         ok = True
         rename = {}
         for sigma in scn.base.simplices():
-            table = {}
-            for s in scn.sets[sigma]:
-                table[s] = skey(frozenset(
-                    element_name(x, scn.restrict(sigma, frozenset([x]), s))
-                    for x in sigma))
+            table = {s: skey(element_simplex(scn, sigma, s))
+                     for s in scn.sets[sigma]}
             if sorted(table.values()) != sorted(scn2.sets[sigma]):
                 ok = False
             rename[sigma] = table

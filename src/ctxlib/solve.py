@@ -11,7 +11,7 @@ solver.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .complexes import skey
+from .complexes import simplex_from_key, skey
 from .dist import ONE, ZERO, Dist, mixture, pushforward, rat, rat_str
 from .errors import DomainError, PreconditionError
 from .events import global_sections
@@ -229,7 +229,6 @@ class EmpiricalModel:
 
     @classmethod
     def from_json(cls, scn, obj):
-        from .complexes import simplex_from_key
         tables = obj["distributions"]
         if not isinstance(tables, dict) or \
                 not all(isinstance(t, dict) for t in tables.values()):
@@ -397,6 +396,7 @@ def simplicial_of_empirical(bnd, scn, model, nerve_scn):
     """Transfer a model on the event scenario of a bundle to a simplicial
     distribution on the bundle's nerve, via the fiber identification that
     sends a simplex over the union to its tuple of faces."""
+    from .bundles import face_over
     from .sset import EMPTY, SimplicialDistribution, nerve_tuple_id
     derived = model.derived()
     NT = nerve_scn.source
@@ -412,17 +412,10 @@ def simplicial_of_empirical(bnd, scn, model, nerve_scn):
                 continue
 
             def lift(gkey, _entries=entries):
-                from .complexes import simplex_from_key
                 gamma = simplex_from_key(gkey)
-                out = []
-                for sigma in _entries:
-                    if not sigma:
-                        out.append(EMPTY)
-                        continue
-                    face = frozenset(v for v in gamma
-                                     if bnd.vmap[v] in sigma)
-                    out.append(face)
-                return nerve_tuple_id(tuple(out))
+                return nerve_tuple_id(tuple(
+                    face_over(bnd, gamma, sigma) if sigma else EMPTY
+                    for sigma in _entries))
 
             table[(n, xid)] = pushforward(lift, derived[union])
     return SimplicialDistribution(table)

@@ -758,7 +758,9 @@ class MappingSpace:
     in the base of f and a fiberwise map alpha from the part of f over x to
     the part of g over y, sending each cell (phi, e) to a (phi, e').  payload
     decodes its id to (y, x, the e' in cells order); ids finds the id from
-    (n, y, x, alpha's SSetMap key).  Pullbacks are built once, on first use.
+    (n, y, x, alpha's SSetMap key).  Pullbacks are built once, on first use;
+    mapping_simplicial builds only those of f (pb_src) and maps them into
+    g's fibers, and pb_dst, the pullbacks of g, serves outside callers.
     """
 
     __slots__ = ("f", "g", "d", "sset", "proj", "ids", "payload",
@@ -832,19 +834,17 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
     for n in range(d + 1):
         level = []
         for y in Y.simp[n]:
-            PY = ms.pb_dst(n, y)
-            bytheta = {}
-            for (m, qid), (theta, _) in PY.payload.items():
-                bytheta.setdefault((m, theta), []).append(qid)
+            # a map into the pullback of g along y sends each cell (phi, e)
+            # to some (phi, e') with e' over phi^* y: a map into g's fibers
+            over = {(m, phi): g.fiber(m, apply_operator(Y, n, y, phi))
+                    for m in range(d + 1) for phi in monotone_maps(m, n)}
             for x in X.simp[n]:
                 cells, _, form = ms.cells(n, x)
-                opts = {pid: bytheta.get((m, phi), [])
-                        for m, pid, phi, _ in cells}
+                opts = {pid: over[(m, phi)] for m, pid, phi, _ in cells}
                 for alpha in enumerate_sset_maps(
-                        ms.pb_src(n, x), PY, lambda m, pid: opts[pid],
+                        ms.pb_src(n, x), g.source, lambda m, pid: opts[pid],
                         cap=cap):
-                    values = tuple([PY.payload[(m, alpha(m, pid))][1]
-                                    for m, pid, _, _ in cells])
+                    values = tuple([alpha(m, pid) for m, pid, _, _ in cells])
                     level.append((y, x, form % values, values))
                     total += 1
                     if total > cap:
@@ -997,7 +997,7 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
     defects with t undefined there.
     """
     from .bundles import mapping_bundle_scenario
-    from .events import MappingElement, element_name
+    from .events import MappingElement, element_simplex
     from .complexes import simplex_from_key
 
     mb, M, elems = mapping_bundle_scenario(bnd_f, bnd_g)
@@ -1012,9 +1012,7 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
     elem_of = {}
     for sigma in M.base.simplices():
         for key in M.sets[sigma]:
-            vset = frozenset(
-                element_name(x, M.restrict(sigma, frozenset([x]), key))
-                for x in sorted(sigma))
+            vset = element_simplex(M, sigma, key)
             vset_of[(sigma, key)] = vset
             elem_of[vset] = (sigma, key)
 

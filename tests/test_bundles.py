@@ -8,10 +8,11 @@ import pytest
 from ctxlib.bundles import (BundleScenario, bundle_iso, direct_mapping_top,
                             enumerate_direct_mapping, face_transport,
                             family_over, mapping_bundle_scenario,
-                            outcome_simplex, pullback_bundle,
+                            pullback_bundle,
                             pullback_functoriality_iso, pullback_vertex,
                             to_event, union_of_family, validate_bundle)
-from ctxlib.complexes import SimplicialComplex, SimplicialRelation, skey
+from ctxlib.complexes import (SimplicialComplex, SimplicialRelation,
+                              simplex_from_key, skey)
 from ctxlib.errors import DomainError
 from ctxlib.events import elements, event_presheaf, validate_event_scenario
 from ctxlib.laws import check_equivalence
@@ -86,7 +87,7 @@ class TestEventRoundTrip:
         assert validate_event_scenario(scn)["ok"]
         edge = frozenset(["a1", "b1"])
         for key in scn.sets[edge]:
-            gamma = outcome_simplex(key)
+            gamma = simplex_from_key(key)
             assert path_bundle.image(gamma) == edge
 
     def test_equivalence_suite(self):

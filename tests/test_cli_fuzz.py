@@ -1,6 +1,6 @@
 """Hypothesis fuzzing of the `ctx` command line, run in process through
-cli.main: valid payloads with random subtrees replaced, and arbitrary JSON.
-Whatever the input, a verb exits 0, 1, 2 or 3 and never with a traceback;
+cli.main: valid payloads with random subtrees replaced, arbitrary JSON, and
+`laws` argv.  Whatever the input, a verb exits 0, 1, 2 or 3 and never with a traceback;
 an error goes to stderr as one JSON line."""
 
 import contextlib
@@ -141,6 +141,27 @@ def invocations(draw):
     return argv, [draw(payloads(s)) for s in seeds]
 
 
+def run_main(argv):
+    """Run cli.main in process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    """Exit 0-3; an error is one JSON line on stderr and nothing on stdout,
+    and anything else prints JSON on stdout."""
+    lines = err.splitlines()
+    assert code in (0, 1, 2, 3)
+    if lines or code == 3:
+        assert code in (1, 3) and len(lines) == 1 and not out
+        assert json.loads(lines[0])["error"] == \
+            ("resource-limit" if code == 3 else "invalid-input")
+    else:
+        json.loads(out)
+
+
 @given(invocations())
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -152,14 +173,17 @@ def test_any_payload_exits_cleanly(invocation):
             files[name] = os.path.join(tmp, name + ".json")
             with open(files[name], "w") as handle:
                 json.dump(obj, handle)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([files.get(arg, arg) for arg in argv])
-    lines = err.getvalue().splitlines()
-    assert code in (0, 1, 2, 3)
-    if lines or code == 3:
-        assert code in (1, 3) and len(lines) == 1 and not out.getvalue()
-        assert json.loads(lines[0])["error"] == \
-            ("resource-limit" if code == 3 else "invalid-input")
-    else:
-        json.loads(out.getvalue())
+        result = run_main([files.get(arg, arg) for arg in argv])
+    assert_clean_exit(*result)
+
+
+@given(st.sampled_from(["gluing", "monad", "tensor", "equivalence",
+                        "mapping", "bogus"]),
+       st.integers(-3, 3), st.integers())
+@settings(max_examples=60, deadline=None)
+def test_any_laws_argv_exits_cleanly(suite, trials, seed):
+    code, out, err = run_main(["laws", "--suite", suite, "--trials",
+                               str(trials), "--seed", str(seed)])
+    assert_clean_exit(code, out, err)
+    if suite == "bogus" or trials < 0:
+        assert code == 1 and err

@@ -133,6 +133,27 @@ class TestSections:
         edge = frozenset(["a1", "b1"])
         assert sec.value_at(edge) == "%s,%s" % (sec.assignment["a1"],
                                                 sec.assignment["b1"])
+        with pytest.raises(DomainError):
+            sec.value_at({"a1", "c1"})
+
+    def test_value_at_every_simplex_is_the_assignment_profile(
+            self, chsh_scn, triangle_scn, tensor_path_scn):
+        r = make_rng(29)
+        scns = [chsh_scn, triangle_scn, tensor_path_scn] + [
+            rand_event(r, max_context_size=3) for _ in range(200)]
+        checked = 0
+        for scn in scns:
+            try:
+                secs = global_sections(scn, cap=5000)
+            except ResourceLimitError:
+                continue
+            for sigma in scn.base.simplices():
+                index = scn.profile_index(sigma)
+                for sec in secs:
+                    profile = tuple(sec.assignment[x] for x in sorted(sigma))
+                    assert sec.value_at(sigma) == index[profile]
+                    checked += 1
+        assert checked > 50000
 
     def test_keys_sorted_and_stable(self, path_scn):
         keys = [s.key() for s in global_sections(path_scn)]

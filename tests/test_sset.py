@@ -471,7 +471,8 @@ class TestMappingSpaceLookups:
 
         monkeypatch.setattr(sset, "pullback_along_simplex", counting)
         mapping_simplicial(nf, ng, d=2)
-        assert built and max(built.values()) == 1
+        assert {key[0] for key in built} == {"src"}
+        assert max(built.values()) == 1
 
     def test_simplex_id_finds_each_simplex_from_its_own_map(
             self, small_mappings):
