@@ -309,8 +309,6 @@ def cmd_decompose(args):
 
 def cmd_laws(args):
     from .laws import run_suite
-    if args.trials < 0:
-        raise DomainError("--trials must not be negative")
     report = run_suite(args.suite, args.trials, args.seed)
     _emit(report, args.output)
     return 0 if report["ok"] else 1
@@ -324,6 +322,14 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError("%s: %s" % (self.prog, message))
 
 
+def count(text):
+    """An integer that is not negative: the type of --cap and --trials."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative: %d" % value)
+    return value
+
+
 def build_parser():
     parser = _Parser(
         prog="ctx", description="scenario and contextuality toolkit")
@@ -332,7 +338,7 @@ def build_parser():
     def common(p, cap=False, truncate=False):
         p.add_argument("-o", "--output", default=None)
         if cap:
-            p.add_argument("--cap", type=int, default=10 ** 6)
+            p.add_argument("--cap", type=count, default=10 ** 6)
         if truncate:
             p.add_argument("--truncate", type=int, default=None)
 
@@ -405,7 +411,7 @@ def build_parser():
     p.add_argument("--suite", required=True,
                    choices=["gluing", "monad", "tensor", "equivalence",
                             "mapping"])
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=count, default=100)
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_laws)

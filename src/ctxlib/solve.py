@@ -1,11 +1,11 @@
 """Empirical models and the exact contextuality decision procedure.
 
-Feasibility of the noncontextuality polytope is decided by a phase-1 simplex
-method on a fraction-free tableau (integer rows over one positive
-denominator each), with Dantzig's entering rule and Bland's as a fallback
-against cycling.  Infeasible systems come with a Farkas certificate (a
-rational dual vector) that third parties can re-verify without running the
-solver.
+Feasibility of the noncontextuality polytope is decided by a revised phase-1
+simplex method over sparse rows, with Dantzig's entering rule and Bland's as
+a fallback against cycling.  Each tableau row keeps only its block (its m
+entries over the artificial columns) and right-hand side, as integers over
+one positive denominator.  Infeasible systems come with a Farkas certificate
+that third parties can re-verify without running the solver.
 """
 
 from fractions import Fraction
@@ -25,39 +25,40 @@ _BLAND_AFTER = 50   # degenerate pivots in a row before Bland's rule
 
 
 class LPProblem:
-    """Equality constraints A x = b over nonnegative rational variables."""
+    """Equality constraints A x = b over nonnegative rational variables,
+    each row of A kept as its support and its nonzero values there."""
 
-    __slots__ = ("A", "b", "columns", "_rows")
+    __slots__ = ("_rows", "b", "columns", "ncols")
 
     def __init__(self, A, b, columns=None):
-        self.A = [[_exact(v) for v in row] for row in A]
+        A = [[_exact(v) for v in row] for row in A]
         self.b = [_exact(v) for v in b]
-        if len(self.A) != len(self.b):
+        if len(A) != len(self.b):
             raise DomainError("matrix and right-hand side sizes differ")
-        width = {len(row) for row in self.A}
-        if len(width) > 1:
+        if len({len(row) for row in A}) > 1:
             raise DomainError("ragged constraint matrix")
         self.columns = list(columns) if columns is not None else None
-        if self.columns is not None and self.A and \
-                len(self.columns) != len(self.A[0]):
+        if self.columns is not None and A and len(self.columns) != len(A[0]):
             raise DomainError("column label count mismatch")
-        self._rows = None
+        self.ncols = len(A[0]) if A else len(self.columns or ())
+        self._rows = [([j for j, v in enumerate(row) if v],
+                       [v for v in row if v]) for row in A]
+
+    @classmethod
+    def _sparse(cls, rows, b, columns):
+        """The system of (support, values) rows, taken unchecked."""
+        prob = cls.__new__(cls)
+        prob._rows, prob.b, prob.columns = rows, b, columns
+        prob.ncols = len(columns)
+        return prob
 
     @property
-    def ncols(self):
-        return len(self.A[0]) if self.A else 0
-
-    def _integer_rows(self):
-        """Row i of [A | b] as (nums, den, support): ints over a positive
-        denominator, and the columns where A is nonzero.  Built once."""
-        if self._rows is None:
-            self._rows = []
-            for a, b in zip(self.A, self.b):
-                den = lcm(b.denominator, *{v.denominator for v in a})
-                self._rows.append(
-                    ([v.numerator * (den // v.denominator) for v in [*a, b]],
-                     den, [j for j, v in enumerate(a) if v]))
-        return self._rows
+    def A(self):
+        dense = [[0] * self.ncols for _ in self._rows]
+        for row, (support, values) in zip(dense, self._rows):
+            for j, v in zip(support, values):
+                row[j] = v
+        return dense
 
 
 def _reduced(nums, den):
@@ -74,28 +75,33 @@ def lp_feasible(prob):
     Returns ("feasible", x) or ("infeasible", y) where y is a Farkas
     certificate: yA <= 0 on every column and y.b > 0.
 
-    Tableau row i is rows[i] / dens[i], the objective row obj / oden: lists
-    of ints over a positive denominator, gcd-reduced after every update.
-    The entering column has the largest objective entry, or the first
-    positive one after _BLAND_AFTER degenerate pivots in a row.
+    Revised simplex: tableau row i keeps only its block, its entries over
+    the artificial columns, and its right-hand side, as m + 1 ints rows[i]
+    over dens[i] > 0.  Its entry in column j of A is sum_k rows[i][k] C[k][j]
+    over dens[i] L, where C = L sign A is integral; the objective row keeps
+    these n entries too, over oden L.  gcd reductions rescale a row by a
+    positive factor, so the pivots are the full tableau's.  The entering
+    column has the largest objective entry, or the first positive one after
+    _BLAND_AFTER degenerate pivots in a row.
     """
-    m = len(prob.A)
-    n = prob.ncols
+    m, n = len(prob.b), prob.ncols
     if m == 0:
         return "feasible", [ZERO] * n
-    rows, dens, sign = [], [], []
-    oden = lcm(*(den for _, den, _ in prob._integer_rows()))
-    obj = [0] * n + [oden] * m + [0]
-    for i, (nums, den, support) in enumerate(prob._integer_rows()):
-        sign.append(1 if nums[-1] >= 0 else -1)
-        row = [sign[i] * v for v in nums]
-        row[n:n] = [0] * m
-        row[n + i], f = den, oden // den
-        for j in support:
-            obj[j] += f * row[j]
-        obj[-1] += f * row[-1]
-        rows.append(row)
-        dens.append(den)
+    scale = lcm(*{v.denominator for _, values in prob._rows for v in values})
+    sign = [1 if v >= 0 else -1 for v in prob.b]
+    C = [[s * v.numerator * (scale // v.denominator) for v in values]
+         for s, (_, values) in zip(sign, prob._rows)]
+    colrows, colvals = [[] for _ in range(n)], [[] for _ in range(n)]
+    for k, ((support, _), cs) in enumerate(zip(prob._rows, C)):
+        for j, c in zip(support, cs):
+            colrows[j].append(k)
+            colvals[j].append(c)
+    dens = [v.denominator for v in prob.b]
+    rows = [[0] * k + [v.denominator] + [0] * (m - k - 1) + [s * v.numerator]
+            for k, (s, v) in enumerate(zip(sign, prob.b))]
+    oden = lcm(*dens)
+    obj = [oden * sum(cs) for cs in colvals] + [oden] * m + \
+        [sum(r[-1] * (oden // d) for r, d in zip(rows, dens))]
     obj, oden = _reduced(obj, oden)
     basis, stalled = list(range(n, n + m)), 0
     while True:
@@ -104,36 +110,42 @@ def lp_feasible(prob):
             break
         enter = obj.index(top) if stalled < _BLAND_AFTER else \
             next(j for j, v in enumerate(obj) if v > 0)
+        ks, cs = colrows[enter], colvals[enter]
+        col = [sum(row[k] * c for k, c in zip(ks, cs)) for row in rows]
         # minimum ratio rhs/coef over positive coef (the row denominator
         # cancels), compared by cross-multiplying; ties go to the smallest
         # basis index
         leave = None
-        for i, row in enumerate(rows):
-            coef = row[enter]
+        for i, coef in enumerate(col):
             if coef > 0:
                 if leave is None:
-                    leave, best_rhs, best_coef = i, row[-1], coef
+                    leave, best_rhs, best_coef = i, rows[i][-1], coef
                     continue
-                lhs, rhs = row[-1] * best_coef, best_rhs * coef
+                lhs, rhs = rows[i][-1] * best_coef, best_rhs * coef
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_rhs, best_coef = i, row[-1], coef
+                    leave, best_rhs, best_coef = i, rows[i][-1], coef
         if leave is None:
             # the phase-1 objective is bounded below by zero, so an
             # unbounded entering column cannot happen; guard anyway
             raise DomainError("phase-1 simplex detected an unbounded ray")
         stalled = stalled + 1 if best_rhs == 0 else 0
-        prow, piv = _reduced(rows[leave], rows[leave][enter])
-        rows[leave], dens[leave] = prow, piv
-        for i, row in enumerate(rows):
-            coef = row[enter]
+        prow, piv = rows[leave], col[leave]
+        for i, coef in enumerate(col):
             if coef and i != leave:
                 rows[i], dens[i] = _reduced(
-                    [piv * a - coef * p for a, p in zip(row, prow)],
+                    [piv * a - coef * p for a, p in zip(rows[i], prow)],
                     dens[i] * piv)
+        # the pivot row's original entries, from the rows of A its block uses
+        full = [0] * n
+        for r, (support, _), cs in zip(prow, prob._rows, C):
+            if r:
+                for j, c in zip(support, cs):
+                    full[j] += r * c
         coef = obj[enter]
-        if coef:
-            obj, oden = _reduced(
-                [piv * a - coef * p for a, p in zip(obj, prow)], oden * piv)
+        obj, oden = _reduced(
+            [piv * a - coef * p for a, p in zip(obj, full + prow)],
+            oden * piv)
+        rows[leave], dens[leave] = _reduced([scale * v for v in prow], piv)
         basis[leave] = enter
     if obj[-1] > 0:
         return "infeasible", [Fraction(sign[i] * obj[n + i], oden)
@@ -155,14 +167,15 @@ def _scaled(values):
 def verify_certificate(prob, y):
     """Exact re-check of a Farkas certificate against the system: yA <= 0
     on every column and y.b > 0, with y scaled to integers and summing over
-    nonzero terms only."""
+    row supports only."""
     y, _ = _scaled(y)
-    if len(y) != len(prob.A):
+    if len(y) != len(prob.b):
         return False
     ya = [0] * prob.ncols
-    for yi, row in zip(y, prob.A):
+    for yi, (support, values) in zip(y, prob._rows):
         if yi:
-            ya = [s + yi * a if a else s for s, a in zip(ya, row)]
+            for j, a in zip(support, values):
+                ya[j] += yi * a
     if any(v > 0 for v in ya):
         return False
     return sum(yi * bi for yi, bi in zip(y, prob.b) if yi) > 0
@@ -170,13 +183,12 @@ def verify_certificate(prob, y):
 
 def verify_witness(prob, x):
     """Exact re-check of a feasible point: x >= 0 and A (d x) = d b for
-    integers d x over one d, summing over the support of x only."""
+    integers d x over one d, summing over row supports only."""
     x, d = _scaled(x)
     if len(x) != prob.ncols or any(v < 0 for v in x):
         return False
-    support = [(j, v) for j, v in enumerate(x) if v]
-    return all(sum(row[j] * v for j, v in support) == b * d
-               for row, b in zip(prob.A, prob.b))
+    return all(sum(a * x[j] for j, a in zip(*row)) == b * d
+               for row, b in zip(prob._rows, prob.b))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +354,17 @@ def _marginal_lp(secs, sites):
     marginal at every site.  sites yields (values, outcomes, p): the value of
     each section at the site, the site's outcomes in row order, and the
     marginal there."""
-    A = [[1] * len(secs)]
-    b = [ONE]
+    n = len(secs)
+    rows, b = [(list(range(n)), [1] * n)], [ONE]
     for values, outcomes, p in sites:
+        groups = {}
+        for j, v in enumerate(values):
+            groups.setdefault(v, []).append(j)
         for o in outcomes:
-            A.append([1 if v == o else 0 for v in values])
+            support = groups.get(o, [])
+            rows.append((support, [1] * len(support)))
             b.append(p(o))
-    return LPProblem(A, b, columns=[s.key() for s in secs])
+    return LPProblem._sparse(rows, b, [s.key() for s in secs])
 
 
 def noncontextuality_lp(scn, model, secs):

@@ -1,11 +1,12 @@
 """Independent oracles used by the tests: exact convex-hull membership by
 brute-force subset enumeration, coordinate vectors for empirical models, the
-dense Fraction phase-1 simplex that the library's integer tableau must agree
-with exactly, the breadth-first map search that the library's depth-first
-one must agree with map for map, the mapping-space faces and degeneracies
-computed on whole fiberwise maps, which the library's value tables must
-agree with, the simplicial LP over every degree, whose verdict the
-library's top-degree LP must match, the enumerate-and-filter mapping
+integer tableau and the dense Fraction phase-1 simplex that the library's
+revised simplex must agree with exactly, the dense 0/1 rows that its sparse
+marginal LP must equal, the breadth-first map search that the library's
+depth-first one must agree with map for map, the mapping-space faces and
+degeneracies computed on whole fiberwise maps, which the library's value
+tables must agree with, the simplicial LP over every degree, whose verdict
+the library's top-degree LP must match, the enumerate-and-filter mapping
 scenario that the library's construction from vertex elements must agree
 with element for element, and the quadratic antichain.
 
@@ -15,6 +16,7 @@ cross-check on it.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 from ctxlib.dist import ONE, ZERO, rat
 from ctxlib.bundles import _pi_choices
@@ -85,6 +87,115 @@ def in_hull(target, vertices):
             if sol is not None and all(l >= 0 for l in sol):
                 return True
     return False
+
+
+def _integer_rows(prob):
+    """Row i of [A | b] as (nums, den, support): ints over a positive
+    denominator, and the columns where A is nonzero."""
+    rows = []
+    for a, b in zip(prob.A, prob.b):
+        den = lcm(b.denominator, *{v.denominator for v in a})
+        rows.append(([v.numerator * (den // v.denominator) for v in [*a, b]],
+                     den, [j for j, v in enumerate(a) if v]))
+    return rows
+
+
+def _reduced(nums, den):
+    """The row nums/den with the common factor of its integers removed."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def lp_feasible_tableau(prob, bland_after=50):
+    """Decide A x = b, x >= 0 exactly on the full fraction-free tableau.
+
+    Returns ("feasible", x) or ("infeasible", y) where y is a Farkas
+    certificate: yA <= 0 on every column and y.b > 0.
+
+    Tableau row i is rows[i] / dens[i], the objective row obj / oden: lists
+    of ints over a positive denominator, gcd-reduced after every update.
+    The entering column has the largest objective entry, or the first
+    positive one after bland_after degenerate pivots in a row.
+    """
+    m = len(prob.b)
+    n = prob.ncols
+    if m == 0:
+        return "feasible", [ZERO] * n
+    rows, dens, sign = [], [], []
+    irows = _integer_rows(prob)
+    oden = lcm(*(den for _, den, _ in irows))
+    obj = [0] * n + [oden] * m + [0]
+    for i, (nums, den, support) in enumerate(irows):
+        sign.append(1 if nums[-1] >= 0 else -1)
+        row = [sign[i] * v for v in nums]
+        row[n:n] = [0] * m
+        row[n + i], f = den, oden // den
+        for j in support:
+            obj[j] += f * row[j]
+        obj[-1] += f * row[-1]
+        rows.append(row)
+        dens.append(den)
+    obj, oden = _reduced(obj, oden)
+    basis, stalled = list(range(n, n + m)), 0
+    while True:
+        top = max(obj[:n], default=0)
+        if top <= 0:
+            break
+        enter = obj.index(top) if stalled < bland_after else \
+            next(j for j, v in enumerate(obj) if v > 0)
+        # minimum ratio rhs/coef over positive coef (the row denominator
+        # cancels), compared by cross-multiplying; ties go to the smallest
+        # basis index
+        leave = None
+        for i, row in enumerate(rows):
+            coef = row[enter]
+            if coef > 0:
+                if leave is None:
+                    leave, best_rhs, best_coef = i, row[-1], coef
+                    continue
+                lhs, rhs = row[-1] * best_coef, best_rhs * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_coef = i, row[-1], coef
+        if leave is None:
+            # the phase-1 objective is bounded below by zero, so an
+            # unbounded entering column cannot happen; guard anyway
+            raise DomainError("phase-1 simplex detected an unbounded ray")
+        stalled = stalled + 1 if best_rhs == 0 else 0
+        prow, piv = _reduced(rows[leave], rows[leave][enter])
+        rows[leave], dens[leave] = prow, piv
+        for i, row in enumerate(rows):
+            coef = row[enter]
+            if coef and i != leave:
+                rows[i], dens[i] = _reduced(
+                    [piv * a - coef * p for a, p in zip(row, prow)],
+                    dens[i] * piv)
+        coef = obj[enter]
+        if coef:
+            obj, oden = _reduced(
+                [piv * a - coef * p for a, p in zip(obj, prow)], oden * piv)
+        basis[leave] = enter
+    if obj[-1] > 0:
+        return "infeasible", [Fraction(sign[i] * obj[n + i], oden)
+                              for i in range(m)]
+    x = [ZERO] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(rows[i][-1], dens[i])
+    return "feasible", x
+
+
+def marginal_rows_dense(scn, model, secs):
+    """The dense 0/1 rows of the noncontextuality LP as a full row per
+    constraint: one row of ones, then one row per maximal simplex m and
+    outcome o, with a 1 for each section whose value at m is o."""
+    A = [[1] * len(secs)]
+    for m in scn.base.maximal:
+        values = [s.value_at(m) for s in secs]
+        for o in scn.sets[m]:
+            A.append([1 if v == o else 0 for v in values])
+    return A
 
 
 def lp_feasible_fraction(prob, bland_after=50, log=None):

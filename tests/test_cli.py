@@ -105,6 +105,23 @@ class TestSectionsAndTensor:
         assert err["stage"] == "global_sections"
         assert err["cap"] == 2 and err["estimate"] > 2
 
+    @pytest.mark.parametrize("verb", ["sections", "check", "map"])
+    def test_negative_cap_is_invalid_input(self, capsys, tmp_path, chsh,
+                                           pr_model, verb):
+        """A negative --cap is bad input (exit 1), not a cap that every
+        enumeration exceeds (exit 3); --cap 0 is still a cap."""
+        f = write(tmp_path, "f.json", standard([["a"]]).to_json())
+        g = write(tmp_path, "g.json", standard([["u", "v"]]).to_json())
+        argv = {"sections": ["sections", chsh],
+                "check": ["check", "--scenario", chsh, "--model", pr_model],
+                "map": ["map", "--kind", "event", f, g]}[verb]
+        assert main(argv + ["--cap", "-1"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "invalid-input" and "--cap" in err["detail"]
+        assert main(argv + ["--cap", "0"]) == 3
+
     @pytest.mark.parametrize("mutate", [
         lambda s: s.update({"sets": sorted(s["sets"].items())}),
         lambda s: s["sets"].update({"a1": "01"}),

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PR_BOX_TABLE, model_of, standard, triangle_parity_scn
@@ -19,7 +19,8 @@ from ctxlib.events import elements, element_name, event_presheaf, global_section
 from ctxlib.rand import make_rng, rand_dist, rand_path_model
 from ctxlib.solve import (EmpiricalModel, LPProblem, Verdict,
                           check_contextuality, check_contextuality_simplicial,
-                          decompose_noncontextual, lp_feasible, push_empirical,
+                          decompose_noncontextual, lp_feasible,
+                          noncontextuality_lp, push_empirical,
                           simplicial_of_empirical, theta_event,
                           validate_empirical, verify_certificate,
                           verify_witness)
@@ -29,7 +30,8 @@ from ctxlib.sset import (apply_operator, enumerate_det_morphisms,
                          SimplicialDistribution,
                          validate_simplicial_distribution)
 from helpers import (coordinates, every_degree_lp, in_hull, lp_feasible_bland,
-                     lp_feasible_fraction, model_vector,
+                     lp_feasible_fraction, lp_feasible_tableau,
+                     marginal_rows_dense, model_vector,
                      verify_certificate_fraction, verify_witness_fraction)
 
 F = Fraction
@@ -56,6 +58,12 @@ class TestLP:
     def test_empty_system_feasible(self):
         status, x = lp_feasible(LPProblem([], [], columns=[]))
         assert status == "feasible" and x == []
+
+    def test_system_without_rows_keeps_its_columns(self):
+        prob = LPProblem([], [], columns=["p", "q"])
+        assert prob.ncols == 2 and prob.A == []
+        assert lp_feasible(prob) == ("feasible", [F(0), F(0)])
+        assert verify_witness(prob, [F(0), F(0)])
 
     def test_certificate_rejects_wrong_length(self):
         prob = LPProblem([[1]], [-1])
@@ -137,16 +145,21 @@ def bell_3x3_mixture():
 
 
 class TestIntegerTableau:
-    """The integer-row tableau against the dense Fraction tableau with the
+    """The revised simplex against the full integer tableau it replaced
+    (helpers.lp_feasible_tableau) and the dense Fraction tableau with the
     same entering rule (helpers.lp_feasible_fraction): same pivots, same
-    answers; and against the Bland-only Fraction tableau it replaced
+    answers; and against the Bland-only Fraction tableau
     (helpers.lp_feasible_bland)."""
 
     @given(small_systems())
+    @example(LPProblem([[F(-2, 3)]], [-2]))
+    @example(LPProblem([[F(1, 2), F(-2, 3), 0], [F(3, 4), 1, F(-5, 6)]],
+                       [F(1, 3), F(-7, 10)]))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_fraction_tableau(self, prob):
         status, data = lp_feasible(prob)
-        assert (status, data) == lp_feasible_fraction(prob)
+        assert (status, data) == lp_feasible_tableau(prob) == \
+            lp_feasible_fraction(prob)
         assert status == lp_feasible_bland(prob)[0]
         assert all(type(v) is Fraction for v in data)
         if status == "feasible":
@@ -189,6 +202,34 @@ class TestIntegerTableau:
                 assert verify_witness(prob, data)
             else:
                 assert trial % 2 and verify_certificate(prob, data)
+
+    @pytest.mark.parametrize("m, v", [
+        (2, 1), (3, 1), (4, 1), (2, F(1, 4)), (2, F(1, 2)), (2, F(3, 4)),
+        (3, None), (3, 0)], ids=[
+        "pr-2x2x2", "pr-3x3x2", "pr-4x4x2", "noisy-1/4", "noisy-1/2",
+        "noisy-3/4", "mixture-3x3x2", "uniform-3x3x2"])
+    def test_bell_systems_match_tableau(self, m, v):
+        """v PR + (1 - v) uniform on the m x m x 2 Bell scenario, where the
+        PR-type box is anticorrelated at (a0, b0) and correlated elsewhere;
+        v = None is the 3x3x2 mixture.  The revised simplex gives the
+        tableau's answer, and the sparse LP has the old builder's dense 0/1
+        rows."""
+        if v is None:
+            scn, model = bell_3x3_mixture()
+        else:
+            scn = bell_scn(m)
+            pr = model_of(scn, {"a%d,b%d" % (i, j): PR_BOX_TABLE[
+                "x2,y2" if (i, j) == (0, 0) else "x1,y1"]
+                for i in range(m) for j in range(m)})
+            model = EmpiricalModel(scn, {c: mixture([
+                (v, p), (1 - v, Dist({o: F(1, 4) for o in scn.sets[c]}))])
+                for c, p in pr.dists.items()})
+        secs = global_sections(scn)
+        prob = noncontextuality_lp(scn, model, secs)
+        status, data = lp_feasible(prob)
+        assert status == ("infeasible" if v and v > F(1, 2) else "feasible")
+        assert (status, data) == lp_feasible_tableau(prob)
+        assert prob.A == marginal_rows_dense(scn, model, secs)
 
     def test_pr_box_certificate_identical(self, chsh_scn):
         verdict = check_contextuality(chsh_scn,
