@@ -244,7 +244,7 @@ def cmd_check(args):
 def cmd_verify_certificate(args):
     from .dist import Dist, rat
     from .events import global_sections
-    from .solve import noncontextuality_lp, theta_event, verify_certificate
+    from .solve import noncontextuality_lp, verify_certificate, verify_witness
     scn = load_scenario(args.scenario)
     model = load_model(args.model, scn)
     verdict_obj = _load(args.input)
@@ -261,13 +261,13 @@ def cmd_verify_certificate(args):
             raise DomainError("file %s: witness must map section keys to "
                               "weights" % args.input)
         q = Dist({k: rat(v) for k, v in w.items()})
-    secs = global_sections(scn, cap=args.cap)
-    prob = noncontextuality_lp(scn, model, secs)
+    model.derived()             # the compatibility check that check runs
+    prob = noncontextuality_lp(scn, model, global_sections(scn, cap=args.cap))
     if contextual:
         ok = verify_certificate(prob, y)
     else:
         ok = set(w) <= set(prob.columns) and \
-            theta_event(scn, secs, q).dists == model.dists
+            verify_witness(prob, [q(k) for k in prob.columns])
     _emit({"verified": bool(ok)}, args.output)
     return 0 if ok else 1
 

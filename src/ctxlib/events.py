@@ -411,30 +411,36 @@ class GlobalSection:
 
 
 def global_sections(scn, cap=10 ** 6):
-    """All vertex assignments lifting at every maximal simplex."""
-    partials = [({}, ())]
+    """All vertex assignments lifting at every maximal simplex, by key.
+
+    A breadth-first join: all partial sections have fixed the same vertices,
+    and each is extended only by the outcomes of the next maximal simplex
+    that agree there.  cap bounds the partial sections at every level."""
+    pos = {}                    # vertex -> its place in each value tuple
+    partials = [((), ())]       # (values at the fixed vertices, outcomes)
     for m in scn.base.maximal:
-        choices = sorted(scn.profile_index(m).items())
         verts = sorted(m)
+        old = [i for i, x in enumerate(verts) if x in pos]
+        new = [i for i, x in enumerate(verts) if x not in pos]
+        extend = {}
+        for profile, s in scn.profile_index(m).items():
+            extend.setdefault(tuple(profile[i] for i in old), []).append(
+                (tuple(profile[i] for i in new), s))
+        at = [pos[verts[i]] for i in old]
         nxt = []
-        for part, chosen in partials:
-            for profile, s in choices:
-                merged = dict(part)
-                ok = True
-                for x, o in zip(verts, profile):
-                    if merged.get(x, o) != o:
-                        ok = False
-                        break
-                    merged[x] = o
-                if ok:
-                    nxt.append((merged, chosen + (s,)))
+        for values, chosen in partials:
+            for more, s in extend.get(tuple(values[j] for j in at), ()):
+                nxt.append((values + more, chosen + (s,)))
             if len(nxt) > cap:
                 raise ResourceLimitError(
                     "more than %d partial sections" % cap, cap=cap,
                     estimate=len(nxt), stage="global_sections")
+        for i in new:
+            pos[verts[i]] = len(pos)
         partials = nxt
-    out = [GlobalSection(assignment, dict(zip(scn.base.maximal, chosen)), scn)
-           for assignment, chosen in partials]
+    out = [GlobalSection(zip(pos, values),
+                         dict(zip(scn.base.maximal, chosen)), scn)
+           for values, chosen in partials]
     out.sort(key=lambda s: s.key())
     return out
 

@@ -203,6 +203,10 @@ class EmpiricalModel:
     def __init__(self, scn, dists):
         self.scn = scn
         self.dists = {}
+        extra = set(dists) - set(scn.base.maximal)
+        if extra:
+            raise DomainError("%s is not a maximal context"
+                              % min(map(skey, extra)))
         for m in scn.base.maximal:
             p = dists.get(m)
             if p is None:
@@ -215,15 +219,15 @@ class EmpiricalModel:
         self._derived = None
 
     def derived(self):
-        """Distributions on every simplex, pushed down from the maximals.
-
-        Raises on disagreement; validate_empirical reports instead.
+        """Distributions on every simplex, pushed down from the maximals
+        once.  The compatibility check: raises on disagreement, where
+        validate_empirical reports.
         """
         if self._derived is None:
             report = validate_empirical(self.scn, self.dists)
             if not report["ok"]:
-                raise DomainError("incompatible marginals at %s"
-                                  % report["failures"][0]["face"])
+                raise DomainError("model is not compatible: %s"
+                                  % report["failures"][:3])
             self._derived = report["derived"]
         return self._derived
 
@@ -249,25 +253,18 @@ class EmpiricalModel:
         dists = {}
         for key, table in tables.items():
             sigma = simplex_from_key(key)
+            if sigma in dists:
+                raise DomainError("two distributions at %s" % skey(sigma))
             dists[sigma] = Dist({o: rat(v) for o, v in table.items()})
         return cls(scn, dists)
 
 
 def validate_empirical(scn, dists):
-    """Compatibility report: marginals of the context distributions must
-    agree on every shared face.  Returns the derived face distributions."""
+    """Compatibility report on a model's complete dists (see EmpiricalModel):
+    marginals of the context distributions must agree on every shared face.
+    Returns the derived face distributions."""
     failures = []
     derived = {}
-    for m in scn.base.maximal:
-        p = dists.get(m)
-        if p is None:
-            failures.append({"law": "coverage", "simplex": skey(m)})
-            continue
-        outs = set(scn.sets[m])
-        if any(s not in outs for s in p.support()):
-            failures.append({"law": "support", "simplex": skey(m)})
-    if failures:
-        return {"ok": False, "failures": failures, "derived": {}}
     for sigma in scn.base.simplices():
         for m in scn.base.maximal:
             if sigma <= m:
@@ -376,11 +373,9 @@ def noncontextuality_lp(scn, model, secs):
 
 
 def check_contextuality(scn, model, cap=10 ** 6):
-    """Decide whether a compatible model extends to a global distribution."""
-    report = validate_empirical(scn, model.dists)
-    if not report["ok"]:
-        raise DomainError("model is not compatible: %s"
-                          % report["failures"][:3])
+    """Decide whether a model extends to a global distribution; raises when
+    it is not compatible."""
+    model.derived()
     secs = global_sections(scn, cap=cap)
     return _decide(noncontextuality_lp(scn, model, secs), secs)
 
@@ -415,7 +410,6 @@ def simplicial_of_empirical(bnd, scn, model, nerve_scn):
     from .bundles import face_over
     from .sset import EMPTY, SimplicialDistribution, nerve_tuple_id
     derived = model.derived()
-    NT = nerve_scn.source
     NB = nerve_scn.target
     table = {}
     for n in range(NB.d + 1):

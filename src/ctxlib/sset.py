@@ -965,20 +965,12 @@ def hom_tensor_to_mapping(f, g, h, det, mspace):
 
 
 class NerveComparison:
-    """Bundle data, nerve scenarios, the mapping space, and the two
-    comparison assignments between them."""
+    """The mapping space and the two comparison assignments between it and
+    the nerve of the mapping bundle's total space."""
 
-    __slots__ = ("bundle", "mapped", "elems", "nerve_scn", "nerve_f",
-                 "nerve_g", "mspace", "l", "t", "defects")
+    __slots__ = ("mspace", "l", "t", "defects")
 
-    def __init__(self, bundle, mapped, elems, nerve_scn, nerve_f, nerve_g,
-                 mspace, l, t, defects):
-        self.bundle = bundle
-        self.mapped = mapped
-        self.elems = elems
-        self.nerve_scn = nerve_scn
-        self.nerve_f = nerve_f
-        self.nerve_g = nerve_g
+    def __init__(self, mspace, l, t, defects):
         self.mspace = mspace
         self.l = l
         self.t = t
@@ -1005,7 +997,6 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
         d = mb.base.dim() + 1
     Nf = nerve_bundle(bnd_f, d)
     Ng = nerve_bundle(bnd_g, d)
-    Nm = nerve_bundle(mb, d)
     mspace = mapping_simplicial(Nf, Ng, d=d, cap=cap)
 
     vset_of = {}
@@ -1016,7 +1007,7 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
             vset_of[(sigma, key)] = vset
             elem_of[vset] = (sigma, key)
 
-    NG = Nm.source       # the nerve of the mapping bundle total space
+    NG = nerve_space(mb.total, d)   # the nerve of the mapping bundle total
     NGf = Nf.source
     NGg = Ng.source
     NSp = Ng.target      # nerve space of the base of g
@@ -1093,5 +1084,4 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
             else:
                 t[(n, sid)] = None
                 defects.append((n, sid))
-    return NerveComparison(mb, M, elems, Nm, Nf, Ng, mspace, lmap, t,
-                           defects)
+    return NerveComparison(mspace, lmap, t, defects)

@@ -8,7 +8,9 @@ degeneracies computed on whole fiberwise maps, which the library's value
 tables must agree with, the simplicial LP over every degree, whose verdict
 the library's top-degree LP must match, the enumerate-and-filter mapping
 scenario that the library's construction from vertex elements must agree
-with element for element, and the quadratic antichain.
+with element for element, the quadratic antichain, and the copy-and-filter
+global sections that the library's direct join must agree with section for
+section.
 
 These deliberately avoid the library's LP solver so that they can serve as a
 cross-check on it.
@@ -22,7 +24,8 @@ from ctxlib.dist import ONE, ZERO, rat
 from ctxlib.bundles import _pi_choices
 from ctxlib.errors import DomainError, ResourceLimitError
 from ctxlib.complexes import pair_name, skey
-from ctxlib.events import EventScenario, MappingElement, _codim1_faces
+from ctxlib.events import (EventScenario, GlobalSection, MappingElement,
+                           _codim1_faces)
 from ctxlib.solve import LPProblem
 from ctxlib.sset import (SSetMap, apply_operator, codegen, coface,
                          compose_theta, sections, theta_id)
@@ -555,3 +558,34 @@ def restrict_mapping_element(scn_f, scn_g, elem, tau):
     for s in scn_f.sets[u]:
         alpha_t[down_f[s]] = down_g[elem.alpha[s]]
     return MappingElement(tau, pi_t, alpha_t)
+
+
+def global_sections_filtered(scn, cap=10 ** 6):
+    """All vertex assignments lifting at every maximal simplex, breadth
+    first: every partial section is copied and merged with every outcome of
+    the next maximal simplex, and the disagreeing merges are dropped."""
+    partials = [({}, ())]
+    for m in scn.base.maximal:
+        choices = sorted(scn.profile_index(m).items())
+        verts = sorted(m)
+        nxt = []
+        for part, chosen in partials:
+            for profile, s in choices:
+                merged = dict(part)
+                ok = True
+                for x, o in zip(verts, profile):
+                    if merged.get(x, o) != o:
+                        ok = False
+                        break
+                    merged[x] = o
+                if ok:
+                    nxt.append((merged, chosen + (s,)))
+            if len(nxt) > cap:
+                raise ResourceLimitError(
+                    "more than %d partial sections" % cap, cap=cap,
+                    estimate=len(nxt), stage="global_sections")
+        partials = nxt
+    out = [GlobalSection(assignment, dict(zip(scn.base.maximal, chosen)), scn)
+           for assignment, chosen in partials]
+    out.sort(key=lambda s: s.key())
+    return out

@@ -321,7 +321,14 @@ class TestCheckAndVerify:
         lambda m: m["distributions"]["x1,y1"].update({"0,0": "1/0"}),
         lambda m: m.update(
             {"distributions": sorted(m["distributions"].items())}),
-    ], ids=["weight-abc", "weight-1-over-0", "distributions-list"])
+        lambda m: m["distributions"].update({"x1": {"0": "1"}}),
+        lambda m: m["distributions"].update({"x1,x2": {"0,0": "1"}}),
+        lambda m: m["distributions"].update({"q": {"0": "1"}}),
+        lambda m: m["distributions"].update(
+            {"y1,x1": m["distributions"]["x1,y1"]}),
+    ], ids=["weight-abc", "weight-1-over-0", "distributions-list",
+            "face-key", "non-simplex-key", "unknown-vertex-key",
+            "duplicate-key"])
     def test_malformed_model_is_invalid_input(self, capsys, tmp_path, chsh,
                                               mutate):
         model = json.loads(json.dumps(
@@ -360,6 +367,26 @@ class TestCheckAndVerify:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-input"
 
+    def test_incompatible_model_is_invalid_input(self, capsys, tmp_path,
+                                                  path1):
+        """verify-certificate runs the compatibility check that check runs,
+        so a certificate cannot verify against a model that has no
+        consistent marginals."""
+        model = write(tmp_path, "m.json", {"kind": "model", "distributions": {
+            "a1,b1": {"0,0": "1"}, "b1,c1": {"1,1": "1"}}})
+        cert = write(tmp_path, "cert.json", {
+            "verdict": "contextual", "certificate": {
+                "y": ["0", "1", "0", "1", "0", "-1", "-1", "0", "0"]}})
+        for argv in (["check"], ["verify-certificate", cert]):
+            assert main(argv + ["--scenario", path1, "--model", model]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1
+            err = json.loads(lines[0])
+            assert err["error"] == "invalid-input"
+            assert "model is not compatible" in err["detail"]
+
     def test_noncontextual_witness_verifies(self, capsys, tmp_path, path1):
         model = write(tmp_path, "m.json", PATH_MODEL)
         vpath = str(tmp_path / "verdict.json")
@@ -374,18 +401,21 @@ class TestCheckAndVerify:
         capsys.readouterr()
 
     def test_tampered_witness_rejected(self, capsys, tmp_path, path1):
+        """A witness over the LP's own section keys that reproduces another
+        model does not verify; neither does one naming an unknown key."""
         model = write(tmp_path, "m.json", PATH_MODEL)
         vpath = str(tmp_path / "verdict.json")
         main(["check", "--scenario", path1, "--model", model, "-o", vpath])
         capsys.readouterr()
         verdict = json.loads(open(vpath).read())
         keys = sorted(verdict["witness"])
-        # move all the weight onto one section
-        verdict["witness"] = {keys[0]: "1"}
-        tampered = write(tmp_path, "tampered.json", verdict)
-        assert main(["verify-certificate", tampered, "--scenario", path1,
-                     "--model", model]) == 1
-        capsys.readouterr()
+        # all the weight on one section, then on a key that is no section
+        for witness in ({keys[0]: "1"}, {"a1=0;b1=0": "1"}):
+            tampered = write(tmp_path, "tampered.json",
+                             {**verdict, "witness": witness})
+            code, out = run(capsys, ["verify-certificate", tampered,
+                                     "--scenario", path1, "--model", model])
+            assert (code, out) == (1, {"verified": False})
 
 
 class TestPush:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import (CHSH_CONTEXTS, PATH1_CONTEXTS, standard,
                       triangle_parity_scn)
-from helpers import mapping_event_scenario_filtered
+from helpers import global_sections_filtered, mapping_event_scenario_filtered
 from ctxlib.complexes import (SimplicialComplex, identity_relation, skey,
                               SimplicialRelation)
 from ctxlib import laws
@@ -127,6 +127,34 @@ class TestSections:
         err = exc.value
         assert err.cap == 2 and err.estimate == 4
         assert err.stage == "global_sections"
+
+    def test_join_matches_filtered(self, chsh_scn, tensor_path_scn,
+                                   triangle_scn):
+        """The same sections, keys, order, assignments and maximal values
+        as copying and filtering every merge, or the same resource limit."""
+        r = make_rng(13)
+        bell3 = event_presheaf(standard(
+            [["a%d" % i, "b%d" % j] for i in range(3) for j in range(3)]))
+        scns = [chsh_scn, bell3, tensor_path_scn, triangle_scn] + [
+            rand_event(r, max_contexts=4, max_context_size=3, max_outcomes=3)
+            for _ in range(200)]
+
+        def outcome(join, scn, cap):
+            try:
+                secs = join(scn, cap=cap)
+            except ResourceLimitError as err:
+                return err.stage, err.estimate, err.cap, str(err)
+            return [(s.key(), list(s.assignment.items()),
+                     [s.value_at(m) for m in scn.base.maximal])
+                    for s in secs]
+
+        limits = 0
+        for scn in scns:
+            for cap in (1, 3, 10, 50, 10 ** 6):
+                want = outcome(global_sections_filtered, scn, cap)
+                assert outcome(global_sections, scn, cap) == want
+                limits += isinstance(want, tuple)
+        assert 0 < limits < 5 * len(scns)
 
     def test_section_values_match_assignment(self, path_scn):
         sec = global_sections(path_scn)[0]

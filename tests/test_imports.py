@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import ctxlib
+import ctxlib.cli
 from conftest import CHSH_CONTEXTS, PR_BOX_TABLE, standard
 
 SRC = Path(ctxlib.__file__).parent
@@ -80,14 +81,20 @@ def run_cli(argv):
     return "import ctxlib.cli\nassert ctxlib.cli.main(%r) in (0, 2)" % argv
 
 
-def test_check_loads_no_simplicial_or_law_modules(tmp_path):
+@pytest.mark.parametrize("verb", [["check"],
+                                  ["verify-certificate", "verdict.json"]],
+                         ids=lambda verb: verb[0])
+def test_check_loads_no_simplicial_or_law_modules(tmp_path, verb):
     (tmp_path / "chsh.json").write_text(
         json.dumps(standard(CHSH_CONTEXTS).to_json()))
     (tmp_path / "pr.json").write_text(
         json.dumps({"kind": "model", "distributions": PR_BOX_TABLE}))
+    inputs = ["--scenario", str(tmp_path / "chsh.json"),
+              "--model", str(tmp_path / "pr.json")]
+    assert ctxlib.cli.main(
+        ["check", *inputs, "-o", str(tmp_path / "verdict.json")]) == 2
     loaded = loaded_modules(tmp_path, run_cli(
-        ["check", "--scenario", "chsh.json", "--model", "pr.json",
-         "-o", "verdict.json"]))
+        verb + inputs + ["-o", "out.json"]))
     assert "ctxlib.solve" in loaded
     assert not loaded & {"ctxlib.sset", "ctxlib.laws", "ctxlib.rand",
                          "ctxlib.bundles"}

@@ -322,7 +322,7 @@ class TestEmpiricalModel:
         report = validate_empirical(path_scn, model.dists)
         assert not report["ok"]
         assert any(f["law"] == "compatibility" for f in report["failures"])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="model is not compatible"):
             model.derived()
 
     def test_support_outside_outcomes_rejected(self, path_scn):
