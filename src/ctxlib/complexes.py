@@ -3,9 +3,11 @@ with Kleisli composition, and the tensor product of complexes.
 
 A simplex is a frozenset of vertex names (strings).  Complexes are stored by
 their maximal simplices (an antichain); the downward closure is enumerated on
-demand.  Vertex names supplied by users must not contain "," or "[" or "]";
-names generated internally (nerve vertices, pair vertices) use those characters
-deliberately so canonical keys stay unambiguous.
+demand.  Vertex names read from JSON must be nonempty, have balanced brackets
+and parentheses, and hold no "," or ";" outside them: simplex keys join names
+with "," and nerve tuple ids join simplex keys with ";".  Generated names
+(nerve vertices "[a,b]", pair vertices "(x|y)") keep their separators inside
+brackets, so canonical keys stay unambiguous.
 """
 
 from itertools import combinations
@@ -16,9 +18,9 @@ Simplex = frozenset
 
 
 def _name_ok(name):
-    """A vertex name must not break canonical keys: no top-level comma, and
-    brackets/parentheses must balance (generated names like "[a,b]" are fine
-    because key splitting is bracket-aware)."""
+    """A vertex name must not break canonical keys: no top-level comma or
+    semicolon, and brackets/parentheses must balance (generated names like
+    "[a,b]" are fine because key splitting is bracket-aware)."""
     if not name:
         return False
     depth = 0
@@ -29,7 +31,7 @@ def _name_ok(name):
             depth -= 1
             if depth < 0:
                 return False
-        elif ch == "," and depth == 0:
+        elif ch in ",;" and depth == 0:
             return False
     return depth == 0
 

@@ -226,7 +226,9 @@ class StandardScenario:
                 not all(map(strings, outcomes.values())):
             raise DomainError("outcomes must map vertices to lists of "
                               "outcome strings")
-        return cls(simplex_lists(obj["contexts"], "contexts"), outcomes)
+        base = SimplicialComplex(simplex_lists(obj["contexts"], "contexts"),
+                                 check_names=True)
+        return cls(base.maximal, outcomes)
 
 
 def product_outcome(components):

@@ -283,7 +283,7 @@ def theta_event(scn, secs, q):
     bykey = {s.key(): s for s in secs}
     dists = {}
     for m in scn.base.maximal:
-        dists[m] = mixture([(w, Dist([(bykey[k].value_at(m), ONE)]))
+        dists[m] = mixture([(w, Dist([(bykey[k].values[m], ONE)]))
                             for k, w in q.items()])
     return EmpiricalModel(scn, dists)
 
@@ -368,7 +368,7 @@ def noncontextuality_lp(scn, model, secs):
     """Weights over the global sections secs that sum to one and whose
     mixture of deterministic models reproduces the model on every maximal
     simplex."""
-    return _marginal_lp(secs, (([s.value_at(m) for s in secs], scn.sets[m],
+    return _marginal_lp(secs, (([s.values[m] for s in secs], scn.sets[m],
                                 model.dists[m]) for m in scn.base.maximal))
 
 

@@ -2,9 +2,11 @@
 
 Simplicial sets are tabled per degree up to a dimension bound d, with face and
 degeneracy tables validated against the simplicial identities wherever both
-sides stay within the bound.  On top of these live nerve spaces of complexes
-and bundles, sections, simplicial distributions, stochastic morphisms, the
-mapping scenario Map(f,g), the nerve comparison maps, and the convex map mu.
+sides stay within the bound; each one built here is tabulated by one function
+from its cells, with faces and degeneracies computed on cells.  On top of
+these live nerve spaces of complexes and bundles, sections, simplicial
+distributions, stochastic morphisms, the mapping scenario Map(f,g), the nerve
+comparison maps, and the convex map mu.
 """
 
 from itertools import combinations_with_replacement, product
@@ -271,35 +273,36 @@ def apply_operator(X, n, x, theta):
 # Standard simplices, discrete simplicial sets, products
 
 
+def _tabulate(d, cells, name, face, degen):
+    """The simplicial set whose degree-n simplices (n <= d) are the cells in
+    cells[n], named name(n, c), with d_i c = face(n, c, i) and s_j c =
+    degen(n, c, j) computed on cells.  The payload decodes each id to its
+    cell; the simplicial identities hold in the tables when they hold on
+    cells (May, Simplicial Objects in Algebraic Topology, 1967)."""
+    levels = [[(name(n, c), c) for c in cells[n]] for n in range(d + 1)]
+    return TruncatedSSet(
+        d, {n: [sid for sid, _ in level] for n, level in enumerate(levels)},
+        {n: {sid: tuple([name(n - 1, face(n, c, i)) for i in range(n + 1)])
+             for sid, c in levels[n]} for n in range(1, d + 1)},
+        {n: {sid: tuple([name(n + 1, degen(n, c, j)) for j in range(n + 1)])
+             for sid, c in levels[n]} for n in range(d)},
+        {(n, sid): c for n, level in enumerate(levels) for sid, c in level})
+
+
 def standard_simplex(n, d):
     if n > d:
         raise DomainError("standard simplex dimension exceeds the bound")
-    simp = {m: tuple(theta_id(t) for t in monotone_maps(m, n))
-            for m in range(d + 1)}
-    face = {}
-    degen = {}
-    for m in range(1, d + 1):
-        face[m] = {theta_id(t): tuple(theta_id(t[:i] + t[i + 1:])
-                                      for i in range(m + 1))
-                   for t in monotone_maps(m, n)}
-    for m in range(d):
-        degen[m] = {theta_id(t): tuple(theta_id(t[:j + 1] + t[j:])
-                                       for j in range(m + 1))
-                    for t in monotone_maps(m, n)}
-    payload = {(m, theta_id(t)): t
-               for m in range(d + 1) for t in monotone_maps(m, n)}
-    return TruncatedSSet(d, simp, face, degen, payload)
+    return _tabulate(d, [monotone_maps(m, n) for m in range(d + 1)],
+                     lambda m, t: theta_id(t),
+                     lambda m, t, i: t[:i] + t[i + 1:],
+                     lambda m, t, j: t[:j + 1] + t[j:])
 
 
 def discrete_sset(items, d):
     """A set viewed as a simplicial set: constant in every degree."""
     items = tuple(items)
-    simp = {m: items for m in range(d + 1)}
-    face = {m: {x: tuple(x for _ in range(m + 1)) for x in items}
-            for m in range(1, d + 1)}
-    degen = {m: {x: tuple(x for _ in range(m + 1)) for x in items}
-             for m in range(d)}
-    return TruncatedSSet(d, simp, face, degen)
+    return _tabulate(d, [items] * (d + 1), lambda n, x: x,
+                     lambda n, x, i: x, lambda n, x, j: x)
 
 
 def discrete_map(func, X, Y):
@@ -313,32 +316,12 @@ def _pair_sset(X, Y, d, partners):
     for n <= d, with faces and degeneracies taken componentwise, where
     partners(n, a) lists the b paired with a.  The payload decodes an id to
     (a, b)."""
-    simp = {}
-    payload = {}
-    for n in range(d + 1):
-        ids = []
-        for a in X.simp[n]:
-            for b in partners(n, a):
-                pid = pair_name(a, b)
-                ids.append(pid)
-                payload[(n, pid)] = (a, b)
-        simp[n] = tuple(ids)
-    face = {}
-    degen = {}
-    for n in range(1, d + 1):
-        face[n] = {}
-        for pid in simp[n]:
-            a, b = payload[(n, pid)]
-            face[n][pid] = tuple(pair_name(X.dface(n, i, a), Y.dface(n, i, b))
-                                 for i in range(n + 1))
-    for n in range(d):
-        degen[n] = {}
-        for pid in simp[n]:
-            a, b = payload[(n, pid)]
-            degen[n][pid] = tuple(
-                pair_name(X.sdegen(n, j, a), Y.sdegen(n, j, b))
-                for j in range(n + 1))
-    return TruncatedSSet(d, simp, face, degen, payload)
+    return _tabulate(
+        d, [[(a, b) for a in X.simp[n] for b in partners(n, a)]
+            for n in range(d + 1)],
+        lambda n, c: pair_name(*c),
+        lambda n, c, i: (X.dface(n, i, c[0]), Y.dface(n, i, c[1])),
+        lambda n, c, j: (X.sdegen(n, j, c[0]), Y.sdegen(n, j, c[1])))
 
 
 def product_sset(X, Y):
@@ -348,12 +331,9 @@ def product_sset(X, Y):
 def product_sset_map(f1, f2):
     src = product_sset(f1.source, f2.source)
     tgt = product_sset(f1.target, f2.target)
-    comp = {}
-    for n in range(src.d + 1):
-        comp[n] = {}
-        for pid in src.simp[n]:
-            x, y = src.payload[(n, pid)]
-            comp[n][pid] = pair_name(f1(n, x), f2(n, y))
+    comp = {n: {} for n in range(src.d + 1)}
+    for (n, pid), (x, y) in src.payload.items():
+        comp[n][pid] = pair_name(f1(n, x), f2(n, y))
     return SSetMap(src, tgt, comp, check=False)
 
 
@@ -386,33 +366,17 @@ def nerve_space(cpx, d):
     the empty marker, with union a simplex (or everything empty)."""
     if d < 1:
         raise DomainError("truncation must be at least 1")
-    simp = {0: ("()",)}
-    payload = {(0, "()"): ()}
-    tuples = {0: [()]}
+    cells = [[()]]
     for n in range(1, d + 1):
         seen = {}
         for m in cpx.maximal:
             subs = [EMPTY] + list(nonempty_subsets(m))
             for t in product(subs, repeat=n):
-                tid = nerve_tuple_id(t)
-                if tid not in seen:
-                    seen[tid] = t
-        order = sorted(seen)
-        simp[n] = tuple(order)
-        tuples[n] = [seen[tid] for tid in order]
-        for tid in order:
-            payload[(n, tid)] = seen[tid]
-    face = {}
-    degen = {}
-    for n in range(1, d + 1):
-        face[n] = {nerve_tuple_id(t): tuple(nerve_tuple_id(nerve_face(t, i))
-                                            for i in range(n + 1))
-                   for t in tuples[n]}
-    for n in range(d):
-        degen[n] = {nerve_tuple_id(t): tuple(nerve_tuple_id(nerve_degen(t, j))
-                                             for j in range(n + 1))
-                    for t in tuples[n]}
-    return TruncatedSSet(d, simp, face, degen, payload)
+                seen.setdefault(nerve_tuple_id(t), t)
+        cells.append([seen[tid] for tid in sorted(seen)])
+    return _tabulate(d, cells, lambda n, t: nerve_tuple_id(t),
+                     lambda n, t, i: nerve_face(t, i),
+                     lambda n, t, j: nerve_degen(t, j))
 
 
 def nerve_bundle(bnd, d=None):
@@ -421,13 +385,9 @@ def nerve_bundle(bnd, d=None):
         d = bnd.base.dim() + 1
     total = nerve_space(bnd.total, d)
     base = nerve_space(bnd.base, d)
-    comp = {}
-    for n in range(d + 1):
-        comp[n] = {}
-        for tid in total.simp[n]:
-            entries = total.payload[(n, tid)]
-            comp[n][tid] = nerve_tuple_id(
-                tuple(bnd.image(e) for e in entries))
+    comp = {n: {} for n in range(d + 1)}
+    for (n, tid), entries in total.payload.items():
+        comp[n][tid] = nerve_tuple_id(tuple(map(bnd.image, entries)))
     return SSetMap(total, base, comp, check=False)
 
 
@@ -737,18 +697,22 @@ def tensor_stochastic(m1, m2):
 def pullback_along_simplex(fmap, n, x, d):
     """Restrict a scenario f: E -> X to a degree-n simplex x of the base.
 
-    Degree-m simplices are pairs (theta, e) with theta: [m] -> [n] monotone
-    and e an m-simplex of E lying over the operator action of theta on x:
-    the pairs of the standard n-simplex and E with that property.
+    Degree-m simplices are the pairs (theta, e), named by pair_name, with
+    theta: [m] -> [n] monotone and e an m-simplex of E lying over the
+    operator action of theta on x; d_i drops entry i of theta and takes d_i
+    of e, s_j repeats entry j and takes s_j of e.  The payload decodes an id
+    to (theta, e).
     """
+    if n > d:
+        raise DomainError("standard simplex dimension exceeds the bound")
     E, X = fmap.source, fmap.target
-    D = standard_simplex(n, d)
-    below = {(m, tid): apply_operator(X, n, x, theta)
-             for (m, tid), theta in D.payload.items()}
-    P = _pair_sset(D, E, d, lambda m, tid: fmap.fiber(m, below[(m, tid)]))
-    P.payload = {(m, pid): (D.payload[(m, tid)], e)
-                 for (m, pid), (tid, e) in P.payload.items()}
-    return P
+    return _tabulate(
+        d, [[(t, e) for t in monotone_maps(m, n)
+             for e in fmap.fiber(m, apply_operator(X, n, x, t))]
+            for m in range(d + 1)],
+        lambda m, c: pair_name(theta_id(c[0]), c[1]),
+        lambda m, c, i: (c[0][:i] + c[0][i + 1:], E.dface(m, i, c[1])),
+        lambda m, c, j: (c[0][:j + 1] + c[0][j:], E.sdegen(m, j, c[1])))
 
 
 class MappingSpace:
@@ -756,9 +720,11 @@ class MappingSpace:
 
     A degree-n simplex over y (in the base of g) is a pair of an n-simplex x
     in the base of f and a fiberwise map alpha from the part of f over x to
-    the part of g over y, sending each cell (phi, e) to a (phi, e').  payload
-    decodes its id to (y, x, the e' in cells order); ids finds the id from
-    (n, y, x, alpha's SSetMap key).  Pullbacks are built once, on first use;
+    the part of g over y, sending each cell (phi, e) to a (phi, e').  Its
+    cell is (y, x, the e' in cells order), which payload decodes its id to;
+    ids finds the id from (n, y, x, alpha's SSetMap key).  A face or
+    degeneracy theta acts on cells by restriction, reading the values at
+    (theta phi, e).  Pullbacks are built once, on first use;
     mapping_simplicial builds only those of f (pb_src) and maps them into
     g's fibers, and pb_dst, the pullbacks of g, serves outside callers.
     """
@@ -812,9 +778,13 @@ class MappingSpace:
     def simplex_id(self, n, y, x, value):
         """The id of the degree-n simplex over y from x whose fiberwise map
         sends each (phi, e) over x to (phi, value(m, phi, e)) over y."""
-        cells, _, form = self.cells(n, x)
-        key = form % tuple([value(m, phi, e) for m, _, phi, e in cells])
-        sid = self.ids.get((n, y, x, key))
+        return self._name(n, (y, x, tuple([value(m, phi, e) for m, _, phi, e
+                                           in self.cells(n, x)[0]])))
+
+    def _name(self, n, cell):
+        """The id of the degree-n simplex (y, x, values)."""
+        y, x, values = cell
+        sid = self.ids.get((n, y, x, self.cells(n, x)[2] % values))
         if sid is None:
             raise DomainError("no mapping-space simplex over %s from %s "
                               "has this fiberwise map" % (y, x))
@@ -829,7 +799,7 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
     if d > X.d or d > Y.d:
         raise DomainError("mapping truncation exceeds the scenario bounds")
     ms = MappingSpace(f, g, d)
-    simp = {}
+    levels = []
     total = 0
     for n in range(d + 1):
         level = []
@@ -852,34 +822,27 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
                             "mapping space over cap", cap=cap,
                             estimate=total, stage="mapping_simplicial")
         level.sort()
-        simp[n] = tuple("m%d.%d" % (n, k) for k in range(len(level)))
-        for sid, (y, x, key, values) in zip(simp[n], level):
-            ms.ids[(n, y, x, key)] = sid
-            ms.payload[(n, sid)] = (y, x, values)
+        for k, (y, x, key, _) in enumerate(level):
+            ms.ids[(n, y, x, key)] = "m%d.%d" % (n, k)
+        levels.append([(y, x, values) for y, x, _, values in level])
 
-    def act(n, sid, theta, k):
-        """theta: [k] -> [n] acts by restriction, (theta alpha)(phi, e) =
-        alpha(theta phi, e) (May, Simplicial Objects in Algebraic Topology,
-        1967)."""
-        y, x, _ = ms.payload[(n, sid)]
-        return ms.simplex_id(
-            k, apply_operator(Y, n, y, theta), apply_operator(X, n, x, theta),
-            lambda m, phi, e: ms.value(n, sid, m, compose_theta(theta, phi),
-                                       e))
+    def restrict(n, cell, theta, k):
+        """theta: [k] -> [n] sends (y, x, alpha) to (theta^* y, theta^* x,
+        theta alpha), where (theta alpha)(phi, e) = alpha(theta phi, e)
+        (May, Simplicial Objects in Algebraic Topology, 1967)."""
+        y, x, values = cell
+        pos = ms.cells(n, x)[1]
+        x2 = apply_operator(X, n, x, theta)
+        return (apply_operator(Y, n, y, theta), x2,
+                tuple([values[pos[(m, compose_theta(theta, phi), e)]]
+                       for m, _, phi, e in ms.cells(k, x2)[0]]))
 
-    face = {}
-    degen = {}
-    for n in range(1, d + 1):
-        face[n] = {sid: tuple(act(n, sid, coface(i, n), n - 1)
-                              for i in range(n + 1))
-                   for sid in simp[n]}
-    for n in range(d):
-        degen[n] = {sid: tuple(act(n, sid, codegen(j, n), n + 1)
-                               for j in range(n + 1))
-                    for sid in simp[n]}
-    ms.sset = TruncatedSSet(d, simp, face, degen, ms.payload)
+    ms.sset = _tabulate(d, levels, ms._name,
+                        lambda n, c, i: restrict(n, c, coface(i, n), n - 1),
+                        lambda n, c, j: restrict(n, c, codegen(j, n), n + 1))
+    ms.payload = ms.sset.payload
     ms.proj = SSetMap(ms.sset, Y, {n: {sid: ms.payload[(n, sid)][0]
-                                       for sid in simp[n]}
+                                       for sid in ms.sset.simp[n]}
                                    for n in range(d + 1)}, check=False)
     return ms
 

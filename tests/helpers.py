@@ -8,9 +8,11 @@ degeneracies computed on whole fiberwise maps, which the library's value
 tables must agree with, the simplicial LP over every degree, whose verdict
 the library's top-degree LP must match, the enumerate-and-filter mapping
 scenario that the library's construction from vertex elements must agree
-with element for element, the quadratic antichain, and the copy-and-filter
+with element for element, the quadratic antichain, the copy-and-filter
 global sections that the library's direct join must agree with section for
-section.
+section, and the hand-tabulated nerve space and the pullback along a simplex
+paired from a whole standard simplex, which the library's simplicial sets
+tabulated from their cells must equal table for table.
 
 These deliberately avoid the library's LP solver so that they can serve as a
 cross-check on it.
@@ -23,12 +25,14 @@ from math import gcd, lcm
 from ctxlib.dist import ONE, ZERO, rat
 from ctxlib.bundles import _pi_choices
 from ctxlib.errors import DomainError, ResourceLimitError
-from ctxlib.complexes import pair_name, skey
+from ctxlib.complexes import nonempty_subsets, pair_name, skey
 from ctxlib.events import (EventScenario, GlobalSection, MappingElement,
                            _codim1_faces)
 from ctxlib.solve import LPProblem
-from ctxlib.sset import (SSetMap, apply_operator, codegen, coface,
-                         compose_theta, sections, theta_id)
+from ctxlib.sset import (EMPTY, SSetMap, TruncatedSSet, _pair_sset,
+                         apply_operator, codegen, coface, compose_theta,
+                         nerve_degen, nerve_face, nerve_tuple_id, sections,
+                         standard_simplex, theta_id)
 
 
 def model_vector(model, coords):
@@ -391,6 +395,45 @@ def enumerate_sset_maps_bfs(X, Y, candidates, cap=10 ** 6):
             comp[n][x] = y
         out.append(SSetMap(X, Y, comp, check=False))
     return out
+
+
+def nerve_space_by_loops(cpx, d):
+    """The nerve space of a complex with each table written out by hand:
+    the tuples over every maximal simplex, deduplicated by id and sorted,
+    then their faces and degeneracies id by id."""
+    simp = {0: ("()",)}
+    payload = {(0, "()"): ()}
+    tuples = {0: [()]}
+    for n in range(1, d + 1):
+        seen = {}
+        for m in cpx.maximal:
+            subs = [EMPTY] + list(nonempty_subsets(m))
+            for t in product(subs, repeat=n):
+                seen.setdefault(nerve_tuple_id(t), t)
+        simp[n] = tuple(sorted(seen))
+        tuples[n] = [seen[tid] for tid in simp[n]]
+        payload.update(((n, tid), seen[tid]) for tid in simp[n])
+    face = {n: {nerve_tuple_id(t): tuple(nerve_tuple_id(nerve_face(t, i))
+                                         for i in range(n + 1))
+                for t in tuples[n]} for n in range(1, d + 1)}
+    degen = {n: {nerve_tuple_id(t): tuple(nerve_tuple_id(nerve_degen(t, j))
+                                          for j in range(n + 1))
+                 for t in tuples[n]} for n in range(d)}
+    return TruncatedSSet(d, simp, face, degen, payload)
+
+
+def pullback_along_simplex_by_pairing(fmap, n, x, d):
+    """The pullback of f along a degree-n simplex x as the pairs of the
+    standard simplex and E that lie over the same simplex of the base, with
+    the payload rewritten from (theta id, e) to (theta, e)."""
+    D = standard_simplex(n, d)
+    below = {(m, tid): apply_operator(fmap.target, n, x, theta)
+             for (m, tid), theta in D.payload.items()}
+    P = _pair_sset(D, fmap.source, d,
+                   lambda m, tid: fmap.fiber(m, below[(m, tid)]))
+    P.payload = {(m, pid): (D.payload[(m, tid)], e)
+                 for (m, pid), (tid, e) in P.payload.items()}
+    return P
 
 
 def simplex_id_by_map(ms, n, y, x, value):

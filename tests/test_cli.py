@@ -75,6 +75,19 @@ class TestValidateAndConvert:
         assert main(["validate", bad]) == 1
         capsys.readouterr()
 
+    def test_standard_vertex_name_with_comma_is_invalid_input(
+            self, capsys, tmp_path):
+        """A name "a,b" would be split in every key that holds it, so it is
+        rejected at input rather than in what convert writes."""
+        bad = write(tmp_path, "bad.json", {
+            "kind": "standard", "contexts": [["a,b", "c"]],
+            "outcomes": {"a,b": ["0", "1"], "c": ["0", "1"]}})
+        assert main(["validate", bad]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
+
     def test_convert_to_bundle_then_validate(self, capsys, tmp_path, path1):
         out = str(tmp_path / "bundle.json")
         assert main(["convert", path1, "--to", "bundle", "-o", out]) == 0
@@ -204,6 +217,32 @@ class TestNerve:
         assert code == 0 and out["kind"] == "sset-map" and out["d"] == 2
         assert set(out["components"]) == {"0", "1", "2"}
 
+
+    def test_nerve_matches_golden_output(self, capsys, tmp_path):
+        """The maximals of the total space share v0, so the tuples that
+        several maximals give are pinned once each, byte for byte."""
+        bundle = BundleScenario(
+            SimplicialComplex([{"u0", "v0"}, {"u1", "v0"}, {"v0", "w0"}]),
+            SimplicialComplex([{"u", "v"}, {"v", "w"}]),
+            {"u0": "u", "u1": "u", "v0": "v", "w0": "w"})
+        bpath = write(tmp_path, "bundle.json", bundle.to_json())
+        assert main(["nerve", bpath, "--truncate", "2"]) == 0
+        golden = GOLDEN / "nerve_path_d2.json"
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_semicolon_vertex_name_is_invalid_input(self, capsys, tmp_path):
+        """x;y and y;z would give ({x}, {y;z}) and ({x;y}, {z}) one nerve
+        tuple id, so one of the two would be lost."""
+        simplex = [["x", "y;z", "x;y", "z"]]
+        bpath = write(tmp_path, "bundle.json", {
+            "kind": "bundle", "total": {"maximal": simplex},
+            "base": {"maximal": simplex},
+            "map": {v: v for v in simplex[0]}})
+        assert main(["nerve", bpath, "--truncate", "2"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "invalid-input"
 
     @pytest.mark.parametrize("vmap", [[["a", "u"]], {"a": ["u"]}],
                              ids=["map-list", "map-value-list"])

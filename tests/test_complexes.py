@@ -14,6 +14,7 @@ from ctxlib.complexes import (ComplexMap, SimplicialComplex, _antichain,
                               tensor_complex, tensor_comparison_map,
                               tensor_relation, unit_map, unpair_name)
 from ctxlib.errors import CompositionError, DomainError
+from ctxlib.events import StandardScenario
 from ctxlib.laws import check_monad, check_tensor
 
 
@@ -38,8 +39,21 @@ class TestKeys:
         with pytest.raises(DomainError):
             SimplicialComplex([{"a]"}], check_names=True)
 
+    def test_top_level_semicolon_rejected(self):
+        """Nerve tuple ids join simplex keys with ";": with x;y and y;z as
+        vertices, ({x}, {y;z}) and ({x;y}, {z}) would share one id."""
+        with pytest.raises(DomainError):
+            SimplicialComplex.from_json(
+                {"maximal": [["x", "y;z", "x;y", "z"]]})
+
+    def test_standard_scenario_names_checked(self):
+        with pytest.raises(DomainError):
+            StandardScenario.from_json(
+                {"kind": "standard", "contexts": [["a,b", "c"]],
+                 "outcomes": {"a,b": ["0", "1"], "c": ["0", "1"]}})
+
     def test_generated_names_accepted(self):
-        SimplicialComplex([{"[a,b]", "(x|y)"}], check_names=True)
+        SimplicialComplex([{"[a,b]", "(x|y)", "(p;q)"}], check_names=True)
 
     def test_pair_name_round_trip(self):
         name = pair_name("(a|b)", "c")

@@ -34,11 +34,18 @@ from ctxlib.sset import (DetMorphism, SimplicialDistribution, apply_operator,
                          zeta_inverse)
 from conftest import standard, triangle_parity_scn
 from helpers import (enumerate_sset_maps_bfs, fiberwise_maps,
-                     mapping_face_degen_by_maps)
+                     mapping_face_degen_by_maps, nerve_space_by_loops,
+                     pullback_along_simplex_by_pairing)
 
 F = Fraction
 
 EDGE = SimplicialComplex([{"a", "b"}])
+TRIANGLE = SimplicialComplex([{"a", "b", "c"}])
+TWO_MAXIMAL = SimplicialComplex([{"a", "b", "c"}, {"c", "d"}])
+
+
+def tables(X):
+    return X.simp, X.face, X.degen, X.payload
 
 
 def point_bundle(fiber, base="u"):
@@ -151,6 +158,13 @@ class TestNerveSpace:
         fm = nerve_bundle(bnd)
         assert len(sections(fm)) == len(global_sections(scn)) == 8
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("cpx", [EDGE, TRIANGLE, TWO_MAXIMAL],
+                             ids=["edge", "triangle", "two-maximal"])
+    def test_tables_match_hand_written_loops(self, cpx, d):
+        assert tables(nerve_space(cpx, d)) == \
+            tables(nerve_space_by_loops(cpx, d))
+
 
 class TestFibers:
     @pytest.mark.parametrize("bnd", [
@@ -209,6 +223,7 @@ class TestDiscreteAndProduct:
         X = discrete_sset(["p", "q"], 2)
         assert validate_sset(X)["ok"]
         assert X.simp[2] == ("p", "q")
+        assert X.payload[(2, "q")] == "q"
 
     def test_product_validates(self):
         P = product_sset(standard_simplex(1, 2), standard_simplex(1, 2))
@@ -469,7 +484,11 @@ class TestMappingSpaceLookups:
             built[("src" if fmap is nf else "dst", n, x)] += 1
             return real(fmap, n, x, d)
 
+        def no_standard_simplex(n, d):
+            built["standard_simplex"] += 1
+
         monkeypatch.setattr(sset, "pullback_along_simplex", counting)
+        monkeypatch.setattr(sset, "standard_simplex", no_standard_simplex)
         mapping_simplicial(nf, ng, d=2)
         assert {key[0] for key in built} == {"src"}
         assert max(built.values()) == 1
@@ -610,6 +629,22 @@ class TestPullbacks:
         X = nf.target
         P = pullback_along_simplex(nf, 1, X.simp[1][-1], 1)
         assert validate_sset(P)["ok"]
+
+    def test_pullback_along_simplex_bounded_by_truncation(self):
+        nf = nerve_bundle(point_bundle(["a1", "a2"]), 2)
+        with pytest.raises(DomainError):
+            pullback_along_simplex(nf, 2, nf.target.simp[2][0], 1)
+
+    @pytest.mark.parametrize("case", SMALL_MAPPINGS)
+    def test_pullback_along_simplex_matches_standard_simplex_pairs(
+            self, small_mappings, case):
+        ms = small_mappings[case]
+        for fmap in (ms.f, ms.g):
+            for n in range(ms.d + 1):
+                for x in fmap.target.simp[n]:
+                    assert tables(pullback_along_simplex(fmap, n, x, ms.d)) \
+                        == tables(pullback_along_simplex_by_pairing(
+                            fmap, n, x, ms.d))
 
 
 @pytest.fixture(scope="module")
