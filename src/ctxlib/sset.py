@@ -9,7 +9,9 @@ distributions, stochastic morphisms, the mapping scenario Map(f,g), the nerve
 comparison maps, and the convex map mu.
 """
 
+from functools import cache
 from itertools import combinations_with_replacement, product
+from math import prod
 
 from .complexes import nonempty_subsets, pair_name, skey
 from .dist import Dist, delta, mixture, product_dist, pushforward
@@ -398,49 +400,48 @@ def nerve_bundle(bnd, d=None):
 _DONE = object()
 
 
-def enumerate_sset_maps(X, Y, candidates, cap=10 ** 6):
-    """All maps X -> Y with values drawn from candidates(n, x), commuting
-    with faces, in lexicographic order of the choices (simplices of X by
-    degree, candidates in their own order); cap bounds their number.
+def _by_faces(Y, n, ys):
+    """The degree-n simplices ys of Y grouped by their tuple of faces."""
+    table = {}
+    for y in ys:
+        table.setdefault(tuple(Y.face[n][y]) if n else (), []).append(y)
+    return table
 
-    Depth first over one assignment, branching only on nondegenerate
-    simplices, over the candidates whose faces match the values set; a
-    degenerate simplex takes the value its degeneracy source forces.  A
-    branch is cut once a later nondegenerate simplex has all its faces set
-    and no candidate."""
+
+def _extend(X, Y, todo, table, comp):
+    """Set comp[n][x] for the simplices (n, x) in todo, listed after their
+    faces and degeneracy sources, over values in Y whose faces match those
+    set, and yield each time all are set.  Depth first over one assignment,
+    branching only on nondegenerate simplices, over the candidates
+    table(n, x) groups by face tuple; a degenerate simplex takes the value
+    its degeneracy source forces.  A branch is cut once a later
+    nondegenerate simplex has all its faces set and no candidate."""
     degsrc = X.degeneracy_source()
     # branches[k]: (n, x, faces of x, candidates by face tuple, degenerate
     # simplices that x forces, later branches whose faces x completes);
     # known[(n, x)]: the branch whose choice sets the value of x
     branches, known = [], {}
-    for n in range(X.d + 1):
-        for x in X.simp[n]:
-            src = degsrc.get((n, x))
-            if src is not None:
-                k = known[(n, x)] = known[(n - 1, src[1])]
-                branches[k][4].append((n, x) + src)
-                continue
-            k = known[(n, x)] = len(branches)
-            xfaces = X.face[n][x] if n else ()
-            last = max([known[(n - 1, f)] for f in xfaces], default=k - 1)
-            if last < k - 1:
-                branches[last][5].append(k)
-            table = {}
-            for y in candidates(n, x):
-                table.setdefault(tuple(Y.face[n][y]) if n else (),
-                                 []).append(y)
-            branches.append((n, x, xfaces, table, [], []))
-    comp = {n: dict.fromkeys(X.simp[n]) for n in range(X.d + 1)}
-    if not branches:
-        return [SSetMap(X, Y, comp, check=False)]
+    for n, x in todo:
+        src = degsrc.get((n, x))
+        if src is not None:
+            k = known[(n, x)] = known[(n - 1, src[1])]
+            branches[k][4].append((n, x) + src)
+            continue
+        k = known[(n, x)] = len(branches)
+        xfaces = X.face[n][x] if n else ()
+        last = max([known.get((n - 1, f), -1) for f in xfaces], default=-1)
+        if 0 <= last < k - 1:
+            branches[last][5].append(k)
+        branches.append((n, x, xfaces, table(n, x), [], []))
 
     def options(k):
         n, _, xfaces, table, _, _ = branches[k]
         below = comp.get(n - 1)
         return table.get(tuple([below[f] for f in xfaces]), ())
 
-    out = []
-    stack = [iter(options(0))]
+    stack = [iter(options(0))] if branches else []
+    if not branches:
+        yield
     while stack:
         k = len(stack) - 1
         y = next(stack[k], _DONE)
@@ -455,12 +456,25 @@ def enumerate_sset_maps(X, Y, candidates, cap=10 ** 6):
             continue
         if k + 1 < len(branches):
             stack.append(iter(options(k + 1)))
-        elif len(out) == cap:
+        else:
+            yield
+
+
+def enumerate_sset_maps(X, Y, candidates, cap=10 ** 6):
+    """All maps X -> Y with values drawn from candidates(n, x), commuting
+    with faces, in lexicographic order of the choices (simplices of X by
+    degree, candidates in their own order); cap bounds their number."""
+    comp = {n: dict.fromkeys(X.simp[n]) for n in range(X.d + 1)}
+    if not any(X.simp.values()):
+        return [SSetMap(X, Y, comp, check=False)]
+    out = []
+    for _ in _extend(X, Y, [(n, x) for n in comp for x in comp[n]],
+                     lambda n, x: _by_faces(Y, n, candidates(n, x)), comp):
+        if len(out) == cap:
             raise ResourceLimitError("map enumeration over cap", cap=cap,
                                      estimate=cap + 1,
                                      stage="enumerate_sset_maps")
-        else:
-            out.append(SSetMap(X, Y, comp, check=False))
+        out.append(SSetMap(X, Y, comp, check=False))
     return out
 
 
@@ -724,9 +738,17 @@ class MappingSpace:
     cell is (y, x, the e' in cells order), which payload decodes its id to;
     ids finds the id from (n, y, x, alpha's SSetMap key).  A face or
     degeneracy theta acts on cells by restriction, reading the values at
-    (theta phi, e).  Pullbacks are built once, on first use;
-    mapping_simplicial builds only those of f (pb_src) and maps them into
-    g's fibers, and pb_dst, the pullbacks of g, serves outside callers.
+    (theta phi, e).
+
+    mapping_simplicial builds degree n from degree n - 1.  Where phi misses
+    i, phi = delta_i psi and alpha(phi, e) = (d_i alpha)(psi, e) (May,
+    Simplicial Objects in Algebraic Topology, 1967), so alpha is its
+    boundary d_0 alpha .. d_n alpha, joined from degree n - 1 with
+    d_i d_j = d_(j-1) d_i, plus its values on the cells with phi
+    surjective, searched into g's fibers.  Its faces are that boundary, and
+    s_j alpha reads alpha through one index per (n, x, j).  Pullbacks of f
+    (pb_src) are built once, on first use; pb_dst, the pullbacks of g,
+    serves outside callers.
     """
 
     __slots__ = ("f", "g", "d", "sset", "proj", "ids", "payload",
@@ -778,13 +800,9 @@ class MappingSpace:
     def simplex_id(self, n, y, x, value):
         """The id of the degree-n simplex over y from x whose fiberwise map
         sends each (phi, e) over x to (phi, value(m, phi, e)) over y."""
-        return self._name(n, (y, x, tuple([value(m, phi, e) for m, _, phi, e
-                                           in self.cells(n, x)[0]])))
-
-    def _name(self, n, cell):
-        """The id of the degree-n simplex (y, x, values)."""
-        y, x, values = cell
-        sid = self.ids.get((n, y, x, self.cells(n, x)[2] % values))
+        cells, _, form = self.cells(n, x)
+        sid = self.ids.get((n, y, x, form % tuple(
+            [value(m, phi, e) for m, _, phi, e in cells])))
         if sid is None:
             raise DomainError("no mapping-space simplex over %s from %s "
                               "has this fiberwise map" % (y, x))
@@ -792,55 +810,130 @@ class MappingSpace:
 
 
 def mapping_simplicial(f, g, d=None, cap=10 ** 6):
-    """Build Map(f, g) as a simplicial scenario over the base of g."""
-    X, Y = f.target, g.target
+    """Build Map(f, g) as a simplicial scenario over the base of g, degree by
+    degree from each simplex's boundary (see MappingSpace)."""
+    X, Y, G = f.target, g.target, g.source
     if d is None:
         d = min(X.d, Y.d)
     if d > X.d or d > Y.d:
         raise DomainError("mapping truncation exceeds the scenario bounds")
     ms = MappingSpace(f, g, d)
-    levels = []
-    total = 0
-    for n in range(d + 1):
-        level = []
-        for y in Y.simp[n]:
-            # a map into the pullback of g along y sends each cell (phi, e)
-            # to some (phi, e') with e' over phi^* y: a map into g's fibers
-            over = {(m, phi): g.fiber(m, apply_operator(Y, n, y, phi))
-                    for m in range(d + 1) for phi in monotone_maps(m, n)}
-            for x in X.simp[n]:
-                cells, _, form = ms.cells(n, x)
-                opts = {pid: over[(m, phi)] for m, pid, phi, _ in cells}
-                for alpha in enumerate_sset_maps(
-                        ms.pb_src(n, x), g.source, lambda m, pid: opts[pid],
-                        cap=cap):
-                    values = tuple([alpha(m, pid) for m, pid, _, _ in cells])
-                    level.append((y, x, form % values, values))
-                    total += 1
-                    if total > cap:
-                        raise ResourceLimitError(
-                            "mapping space over cap", cap=cap,
-                            estimate=total, stage="mapping_simplicial")
-        level.sort()
-        for k, (y, x, key, _) in enumerate(level):
-            ms.ids[(n, y, x, key)] = "m%d.%d" % (n, k)
-        levels.append([(y, x, values) for y, x, _, values in level])
+    levels, total = [], 0
 
-    def restrict(n, cell, theta, k):
-        """theta: [k] -> [n] sends (y, x, alpha) to (theta^* y, theta^* x,
-        theta alpha), where (theta alpha)(phi, e) = alpha(theta phi, e)
-        (May, Simplicial Objects in Algebraic Topology, 1967)."""
-        y, x, values = cell
+    @cache
+    def table(n, y, phi):
+        """g's fiber over phi^* y by face tuple."""
+        m = len(phi) - 1
+        return _by_faces(G, m, g.fiber(m, apply_operator(Y, n, y, phi)))
+
+    @cache
+    def index(n, x, theta):
+        """Where theta alpha reads alpha: for each cell (m, phi, e) over
+        theta^* x, the position of (m, theta phi, e) in cells(n, x)."""
         pos = ms.cells(n, x)[1]
-        x2 = apply_operator(X, n, x, theta)
-        return (apply_operator(Y, n, y, theta), x2,
-                tuple([values[pos[(m, compose_theta(theta, phi), e)]]
-                       for m, _, phi, e in ms.cells(k, x2)[0]]))
+        return [pos[(m, compose_theta(theta, phi), e)] for m, _, phi, e in
+                ms.cells(len(theta) - 1, apply_operator(X, n, x, theta))[0]]
 
-    ms.sset = _tabulate(d, levels, ms._name,
-                        lambda n, c, i: restrict(n, c, coface(i, n), n - 1),
-                        lambda n, c, j: restrict(n, c, codegen(j, n), n + 1))
-    ms.payload = ms.sset.payload
+    for n in range(d + 1):
+        prev, byface, groups, level = levels[-1] if n else [], {}, {}, []
+        for a, (y, x, _, faces, _) in enumerate(prev):
+            for j in range(len(faces) + 1):
+                byface.setdefault((y, x, faces[:j]), []).append(a)
+        for x in X.simp[n]:
+            PX, xf = ms.pb_src(n, x), X.face[n][x] if n else ()
+            cells, _, form = ms.cells(n, x)
+            # a cell whose phi misses i is read off alpha_i = d_i alpha: src
+            # holds (i, its offset in the boundary alpha_0 + ... + alpha_n)
+            src, size = {}, 0
+            for i in range(len(xf)):
+                at = index(n, x, coface(i, n))
+                for p, k in enumerate(at):
+                    src.setdefault(cells[k][:2], (i, size + p))
+                size += len(at)
+            todo = [c[:3] for c in cells if c[:2] not in src]
+            searched = iter(range(size, size + len(todo)))
+            gather = [src[c[:2]][1] if c[:2] in src else next(searched)
+                      for c in cells]
+            faced = [(m, phi, [(m - 1, q) for q in PX.face[m][pid]])
+                     for m, pid, phi in todo
+                     if m and not PX.is_degenerate(m, pid)]
+            fixed = {q + (src[q][1],) for _, _, qs in faced for q in qs
+                     if q in src}
+            for y in Y.simp[n]:
+                yf = Y.face[n][y] if n else ()
+                # a searched cell with all its faces on the boundary bounds
+                # each face, given those from earlier alpha_i, by the faces of
+                # its candidates: need maps a prefix to the next face's values
+                checks = [[] for _ in xf]
+                for m, phi, qs in faced:
+                    if all(q in src for q in qs):
+                        refs, need = sorted((src[q], t) for t, q in
+                                            enumerate(qs)), {}
+                        for key in table(n, y, phi):
+                            key = [key[t] for _, t in refs]
+                            for k, v in enumerate(key):
+                                need.setdefault(tuple(key[:k]), set()).add(v)
+                        for k, ((j, at), _) in enumerate(refs):
+                            checks[j].append(
+                                (at, [q for (_, q), _ in refs[:k]], need))
+
+                def join(A, bound):
+                    # alpha_j lies over (d_j y, d_j x) and has first faces
+                    # d_(j-1) alpha_i, i < j; it is looked up by its values
+                    # where checked, among the values the checks allow
+                    j = len(A)
+                    if j == len(xf):
+                        yield A, bound
+                        return
+                    ps = tuple([at - len(bound) for at, _, _ in checks[j]])
+                    key = (yf[j], xf[j], tuple([prev[a][3][j - 1] for a in A])
+                           if n > 1 else (), ps)
+                    grp = groups.get(key)
+                    if grp is None:
+                        grp = groups[key] = {}
+                        for a in byface.get(key[:3], ()):
+                            grp.setdefault(tuple([prev[a][2][p] for p in ps]),
+                                           []).append(a)
+                    sets = [need.get(tuple(map(bound.__getitem__, refs)), ())
+                            for _, refs, need in checks[j]]
+                    combos = product(*sets)
+                    if prod(map(len, sets)) > len(grp):
+                        combos = [v for v in grp
+                                  if all(map(set.__contains__, sets, v))]
+                    for v in combos:
+                        for a in grp.get(v, ()):
+                            yield from join(A + (a,), bound + prev[a][2])
+
+                comp = {m: {} for m in range(d + 1)}
+                for A, bound in join((), ()):
+                    for m, q, at in fixed:
+                        comp[m][q] = bound[at]
+                    for _ in _extend(PX, G, [c[:2] for c in todo],
+                                     lambda m, pid: table(
+                                         n, y, PX.payload[(m, pid)][0]),
+                                     comp):
+                        full = bound + tuple([comp[m][pid]
+                                              for m, pid, _ in todo])
+                        values = tuple(map(full.__getitem__, gather))
+                        level.append((y, x, form % values, values, A))
+                        total += 1
+                        if total > cap:
+                            raise ResourceLimitError(
+                                "mapping space over cap", cap=cap,
+                                estimate=total, stage="mapping_simplicial")
+        level.sort()
+        for k, (y, x, key, _, _) in enumerate(level):
+            ms.ids[(n, y, x, key)] = "m%d.%d" % (n, k)
+        levels.append([(y, x, values, A, "m%d.%d" % (n, k))
+                       for k, (y, x, _, values, A) in enumerate(level)])
+    found = [{c[:3]: c for c in level} for level in levels]
+    ms.sset = _tabulate(
+        d, levels, lambda n, c: c[4], lambda n, c, i: levels[n - 1][c[3][i]],
+        lambda n, c, j: found[n + 1][(
+            Y.degen[n][c[0]][j], X.degen[n][c[1]][j],
+            tuple(map(c[2].__getitem__, index(n, c[1], codegen(j, n)))))])
+    ms.payload = ms.sset.payload = {k: c[:3]
+                                    for k, c in ms.sset.payload.items()}
     ms.proj = SSetMap(ms.sset, Y, {n: {sid: ms.payload[(n, sid)][0]
                                        for sid in ms.sset.simp[n]}
                                    for n in range(d + 1)}, check=False)

@@ -5,14 +5,17 @@ revised simplex must agree with exactly, the dense 0/1 rows that its sparse
 marginal LP must equal, the breadth-first map search that the library's
 depth-first one must agree with map for map, the mapping-space faces and
 degeneracies computed on whole fiberwise maps, which the library's value
-tables must agree with, the simplicial LP over every degree, whose verdict
-the library's top-degree LP must match, the enumerate-and-filter mapping
-scenario that the library's construction from vertex elements must agree
-with element for element, the quadratic antichain, the copy-and-filter
-global sections that the library's direct join must agree with section for
-section, and the hand-tabulated nerve space and the pullback along a simplex
-paired from a whole standard simplex, which the library's simplicial sets
-tabulated from their cells must equal table for table.
+tables must agree with, the mapping space with one map search per simplex
+pair of the bases, which the library's construction from each simplex's
+boundary must equal table for table, the simplicial LP over every degree,
+whose verdict the library's top-degree LP must match, the
+enumerate-and-filter mapping scenario that the library's construction from
+vertex elements must agree with element for element, the quadratic
+antichain, the copy-and-filter global sections that the library's direct
+join must agree with section for section, and the hand-tabulated nerve
+space and the pullback along a simplex paired from a whole standard
+simplex, which the library's simplicial sets tabulated from their cells
+must equal table for table.
 
 These deliberately avoid the library's LP solver so that they can serve as a
 cross-check on it.
@@ -29,10 +32,11 @@ from ctxlib.complexes import nonempty_subsets, pair_name, skey
 from ctxlib.events import (EventScenario, GlobalSection, MappingElement,
                            _codim1_faces)
 from ctxlib.solve import LPProblem
-from ctxlib.sset import (EMPTY, SSetMap, TruncatedSSet, _pair_sset,
-                         apply_operator, codegen, coface, compose_theta,
-                         nerve_degen, nerve_face, nerve_tuple_id, sections,
-                         standard_simplex, theta_id)
+from ctxlib.sset import (EMPTY, MappingSpace, SSetMap, TruncatedSSet,
+                         _pair_sset, _tabulate, apply_operator, codegen,
+                         coface, compose_theta, enumerate_sset_maps,
+                         monotone_maps, nerve_degen, nerve_face,
+                         nerve_tuple_id, sections, standard_simplex, theta_id)
 
 
 def model_vector(model, coords):
@@ -503,6 +507,66 @@ def mapping_face_degen_by_maps(ms):
                  for sid in ms.sset.simp[n]}
              for n in range(ms.d)}
     return face, degen
+
+
+def mapping_simplicial_by_search(f, g, d=None, cap=10 ** 6):
+    """Map(f, g) with every simplex found by its own search: for each
+    (n, y, x), every map from the pullback of f along x into g's fibers over
+    the operator actions on y, enumerated over every cell at every degree
+    up to d, and faces and degeneracies computed by restricting the value
+    tables, each result named through ms.ids."""
+    X, Y = f.target, g.target
+    if d is None:
+        d = min(X.d, Y.d)
+    if d > X.d or d > Y.d:
+        raise DomainError("mapping truncation exceeds the scenario bounds")
+    ms = MappingSpace(f, g, d)
+    levels = []
+    total = 0
+    for n in range(d + 1):
+        level = []
+        for y in Y.simp[n]:
+            # a map into the pullback of g along y sends each cell (phi, e)
+            # to some (phi, e') with e' over phi^* y: a map into g's fibers
+            over = {(m, phi): g.fiber(m, apply_operator(Y, n, y, phi))
+                    for m in range(d + 1) for phi in monotone_maps(m, n)}
+            for x in X.simp[n]:
+                cells, _, form = ms.cells(n, x)
+                opts = {pid: over[(m, phi)] for m, pid, phi, _ in cells}
+                for alpha in enumerate_sset_maps(
+                        ms.pb_src(n, x), g.source, lambda m, pid: opts[pid],
+                        cap=cap):
+                    values = tuple([alpha(m, pid) for m, pid, _, _ in cells])
+                    level.append((y, x, form % values, values))
+                    total += 1
+                    if total > cap:
+                        raise ResourceLimitError(
+                            "mapping space over cap", cap=cap,
+                            estimate=total, stage="mapping_simplicial")
+        level.sort()
+        for k, (y, x, key, _) in enumerate(level):
+            ms.ids[(n, y, x, key)] = "m%d.%d" % (n, k)
+        levels.append([(y, x, values) for y, x, _, values in level])
+
+    def restrict(n, cell, theta, k):
+        """theta: [k] -> [n] sends (y, x, alpha) to (theta^* y, theta^* x,
+        theta alpha), where (theta alpha)(phi, e) = alpha(theta phi, e)."""
+        y, x, values = cell
+        pos = ms.cells(n, x)[1]
+        x2 = apply_operator(X, n, x, theta)
+        return (apply_operator(Y, n, y, theta), x2,
+                tuple([values[pos[(m, compose_theta(theta, phi), e)]]
+                       for m, _, phi, e in ms.cells(k, x2)[0]]))
+
+    ms.sset = _tabulate(d, levels, lambda n, c: ms.ids[
+                            (n, c[0], c[1], ms.cells(n, c[1])[2] % c[2])],
+                        lambda n, c, i: restrict(n, c, coface(i, n), n - 1),
+                        lambda n, c, j: restrict(n, c, codegen(j, n), n + 1))
+    ms.payload = ms.sset.payload
+    ms.proj = SSetMap(ms.sset, Y, {n: {sid: ms.payload[(n, sid)][0]
+                                       for sid in ms.sset.simp[n]}
+                                   for n in range(d + 1)}, check=False)
+    return ms
 
 
 def every_degree_lp(fmap, sd):

@@ -131,8 +131,8 @@ CASES = [(["validate", "A"], SCENARIOS + MODELS),
           SCENARIOS[:1], MODELS, VERDICTS),
          (["push", "--morphism", "A", "--model", "B"], [MORPHISM],
           [EDGE_MODEL]),
-         (["decompose", "--scenario", "A", "--model", "B", "--cap", "1000"],
-          [MAPPING], [MAPPING_DIST])]
+         (["decompose", "--scenario", "A", "--model", "B"], [MAPPING],
+          [MAPPING_DIST])]
 
 
 @st.composite

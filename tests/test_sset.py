@@ -34,8 +34,8 @@ from ctxlib.sset import (DetMorphism, SimplicialDistribution, apply_operator,
                          zeta_inverse)
 from conftest import standard, triangle_parity_scn
 from helpers import (enumerate_sset_maps_bfs, fiberwise_maps,
-                     mapping_face_degen_by_maps, nerve_space_by_loops,
-                     pullback_along_simplex_by_pairing)
+                     mapping_face_degen_by_maps, mapping_simplicial_by_search,
+                     nerve_space_by_loops, pullback_along_simplex_by_pairing)
 
 F = Fraction
 
@@ -267,6 +267,11 @@ def keys(maps):
     return [m.key() for m in maps]
 
 
+def mapping_tables(ms):
+    S = ms.sset
+    return S.simp, S.face, S.degen, S.payload, ms.ids, ms.proj.comp
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """Run every map search of the library through the breadth-first oracle
@@ -301,13 +306,16 @@ class TestMapEnumeration:
 
     @pytest.mark.parametrize("g", [point_bundle(["b1", "b2"], "s"),
                                    TWO_SHEETS], ids=["point", "edge"])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mapping_space_searches_match_oracle(self, g, d, searches):
-        f = point_bundle(["a1", "a2"])
-        mapping_simplicial(nerve_bundle(f, d), nerve_bundle(g, d), d=d)
-        assert len(searches) > 1
-        assert all(got == want for got, want in searches)
-        assert any(len(got) > 1 for got, _ in searches)
+        """Map(f, g) built from boundaries has the tables of the one built
+        by a map search per (n, y, x), and runs no enumerate_sset_maps.
+        With g a point, these are the bundles of `ctx decompose`'s tests."""
+        nf = nerve_bundle(point_bundle(["a1", "a2"]), d)
+        ng = nerve_bundle(g, d)
+        assert mapping_tables(mapping_simplicial(nf, ng, d=d)) == \
+            mapping_tables(mapping_simplicial_by_search(nf, ng, d=d))
+        assert searches == []
 
     def test_det_morphism_searches_match_oracle(self, searches):
         f, g, h = TestCounting._setup()
@@ -515,6 +523,90 @@ class TestMappingSpaceLookups:
         ms = small_mappings[case]
         assert mapping_face_degen_by_maps(ms) == (ms.sset.face,
                                                   ms.sset.degen)
+
+
+def small_bundle(r, prefix):
+    """One or two points over each vertex of a point or an edge, and over
+    an edge a random set of edges between the two fibers."""
+    base = r.choice([["u"], ["u", "v"]])
+    fibers = {b: ["%s%s%d" % (prefix, b, i) for i in range(r.randint(1, 2))]
+              for b in base}
+    pairs = [{a, b} for a in fibers["u"] for b in fibers.get("v", [])]
+    total = r.sample(pairs, r.randint(0, len(pairs)))
+    total += [{a} for b in base for a in fibers[b]
+              if not any(a in s for s in total)]
+    return BundleScenario(SimplicialComplex(total),
+                          SimplicialComplex([set(base)]),
+                          {a: b for b in base for a in fibers[b]})
+
+
+DECOMPOSE_PAIR = (point_bundle(["a1", "a2"], "u"),
+                  point_bundle(["b1", "b2"], "s"))
+
+
+class TestMappingFromBoundaries:
+    """Map(f, g) built degree by degree from each simplex's boundary equals,
+    table for table, the one built by a map search per (n, y, x)."""
+
+    @pytest.mark.parametrize("case", SMALL_MAPPINGS)
+    def test_small_mappings_match_oracle(self, small_mappings, case):
+        ms = small_mappings[case]
+        assert mapping_tables(ms) == mapping_tables(
+            mapping_simplicial_by_search(ms.f, ms.g, d=ms.d))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_pairs_match_oracle(self, seed):
+        """d = 3 when both bases are points, else d = 1 or 2."""
+        r = make_rng(seed)
+        f, g = small_bundle(r, "a"), small_bundle(r, "b")
+        d = 3 if len(f.base.vertices) + len(g.base.vertices) == 2 \
+            else r.randint(1, 2)
+        nf, ng = nerve_bundle(f, d), nerve_bundle(g, d)
+        assert mapping_tables(mapping_simplicial(nf, ng, d=d)) == \
+            mapping_tables(mapping_simplicial_by_search(nf, ng, d=d))
+
+    def test_empty_edge_fiber_matches_oracle(self):
+        """Over an edge whose fiber is empty, a boundary's faces must agree
+        on cells that are faces of no searched cell."""
+        apart = BundleScenario(SimplicialComplex([{"au"}, {"av"}]), EDGE,
+                               {"au": "a", "av": "b"})
+        nf = nerve_bundle(apart, 3)
+        ng = nerve_bundle(point_bundle(["b1", "b2"], "s"), 3)
+        ms = mapping_simplicial(nf, ng, d=3)
+        assert [len(ms.sset.simp[n]) for n in range(4)] == [1, 11, 107, 1027]
+        assert mapping_tables(ms) == \
+            mapping_tables(mapping_simplicial_by_search(nf, ng, d=3))
+
+    def test_decompose_bundle_sizes_at_d3(self):
+        nf, ng = (nerve_bundle(b, 3) for b in DECOMPOSE_PAIR)
+        S = mapping_simplicial(nf, ng, d=3).sset
+        assert [len(S.simp[n]) for n in range(4)] == [1, 8, 38, 158]
+        assert [sum(not S.is_degenerate(n, s) for s in S.simp[n])
+                for n in range(4)] == [1, 7, 23, 67]
+
+    def test_cap_errors_match_oracle(self):
+        """Below and at each degree's cumulative size.  Where the oracle's
+        enumerate_sset_maps stops on one (y, x) with more than cap maps,
+        the construction from boundaries stops in mapping_simplicial, at
+        the same estimate."""
+        nf, ng = (nerve_bundle(b, 3) for b in DECOMPOSE_PAIR)
+
+        def stop(build, cap):
+            try:
+                build(nf, ng, d=3, cap=cap)
+            except ResourceLimitError as err:
+                return str(err), err.stage, err.estimate, err.cap
+            return None
+
+        renamed = 0
+        for cap in (0, 1, 8, 9, 46, 47, 204, 205):
+            want = stop(mapping_simplicial_by_search, cap)
+            if want is not None and want[1] == "enumerate_sset_maps":
+                want = ("mapping space over cap", "mapping_simplicial") + \
+                    want[2:]
+                renamed += 1
+            assert stop(mapping_simplicial, cap) == want
+        assert renamed and want is None
 
 
 class TestMu:
