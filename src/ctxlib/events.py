@@ -7,6 +7,7 @@ restrictions are composites, with path independence checked by validation.
 """
 
 from itertools import combinations, product
+from operator import add
 
 from .complexes import (SimplicialComplex, identity_relation, kleisli_compose,
                         pair_name, simplex_lists, skey, split_key,
@@ -134,6 +135,10 @@ class EventScenario:
             if key not in pairs:
                 raise DomainError("restriction key %r is not <simplex>><face> "
                                   "for a codimension-1 face of the base"
+                                  % (key,))
+        for key in sets:
+            if frozenset(split_key(key)) not in base:
+                raise DomainError("sets key %r is not a simplex of the base"
                                   % (key,))
         sets = {frozenset(split_key(k)): tuple(v) for k, v in sets.items()}
         return cls(base, sets, {pairs[k]: dict(t) for k, t in tables.items()})
@@ -466,15 +471,28 @@ def element_simplex(scn, sigma, s):
 def elements(scn):
     """The bundle scenario of the category of elements."""
     from .bundles import BundleScenario
-    total = SimplicialComplex([element_simplex(scn, sigma, s)
-                               for sigma in scn.base.maximal
-                               for s in scn.sets[sigma]])
+    names = {x: {s: element_name(x, s) for s in scn.sets[frozenset([x])]}
+             for x in scn.base.vertices}
+    tops = []
+    for sigma in scn.base.maximal:
+        cols = [(names[x], scn.restriction_map(sigma, [x])) for x in sigma]
+        tops += [frozenset([name[down[s]] for name, down in cols])
+                 for s in scn.sets[sigma]]
+    total = SimplicialComplex(tops)
     vmap = {v: unpair_name(v)[0] for v in total.vertices}
     return BundleScenario(total, scn.base, vmap)
 
 
 # ---------------------------------------------------------------------------
 # Mapping scenario [F, G]
+
+
+def _namer(pi, dom):
+    """The id of (pi, alpha) as a function of alpha on the sorted dom."""
+    head = "(pi:%s|al:" % ";".join("%s>[%s]" % (x, skey(pi[x]))
+                                   for x in sorted(pi))
+    tags = [s + ">" for s in dom]
+    return lambda images: head + ";".join(map(add, tags, images)) + ")"
 
 
 class MappingElement:
@@ -488,6 +506,13 @@ class MappingElement:
         self.alpha = dict(alpha)
         self._key = None
 
+    @classmethod
+    def _of(cls, sigma, pi, alpha, key):
+        """An element from normalized parts and its id; pi may be shared."""
+        elem = cls.__new__(cls)
+        elem.sigma, elem.pi, elem.alpha, elem._key = sigma, pi, alpha, key
+        return elem
+
     @property
     def domain(self):
         out = frozenset()
@@ -497,11 +522,8 @@ class MappingElement:
 
     def key(self):
         if self._key is None:
-            pipart = ";".join("%s>[%s]" % (x, skey(self.pi[x]))
-                              for x in sorted(self.pi))
-            alpart = ";".join("%s>%s" % (s, self.alpha[s])
-                              for s in sorted(self.alpha))
-            self._key = "(pi:%s|al:%s)" % (pipart, alpart)
+            dom = sorted(self.alpha)
+            self._key = _namer(self.pi, dom)([self.alpha[s] for s in dom])
         return self._key
 
     def __eq__(self, other):
@@ -539,41 +561,54 @@ def mapping_event_scenario(scn_f, scn_g, cap=200000):
         if not report["ok"]:
             raise DomainError("[F, G] needs valid event scenarios; %s fails "
                               "%s" % (name, report["failures"][:3]))
-    betas = {y: {v: [dict(zip(scn_f.sets[v], images)) for images in product(
-                 scn_g.sets[frozenset([y])], repeat=len(scn_f.sets[v]))]
+    # beta_y on F(v) is a tuple of images in the order of F(v)
+    betas = {y: {v: [((v, i), beta) for i, beta in enumerate(product(
+                 scn_g.sets[frozenset([y])], repeat=len(scn_f.sets[v])))]
                  for v in f_sims}
              for y in base.vertices}
     families = {}   # sigma -> {((u_y, index into betas[y][u_y]), ...): key}
     elems, sets, tables = {}, {}, {}
     for sigma in base.simplices():
         verts = sorted(sigma)
-        index = scn_g.profile_index(sigma)
+        by_stem = {}    # G(sigma) by the profile on all but the last vertex
+        for p, t in scn_g.profile_index(sigma).items():
+            by_stem.setdefault(p[:-1], {})[p[-1]] = t
         found = {}
         # extend each family on sigma minus its last vertex by one entry
         stems = families[sigma - {verts[-1]}] if len(sigma) > 1 else [()]
         for stem in stems:
-            firsts = [betas[y][w][i] for y, (w, i) in zip(verts, stem)]
-            joined = frozenset().union(*(w for w, _ in stem))
+            firsts = [dict(zip(scn_f.sets[w], betas[x][w][i][1]))
+                      for x, (w, i) in zip(verts, stem)]
             for v in f_sims:
-                u = joined | v
+                u = v.union(*(w for w, _ in stem))
                 if u not in scn_f.base:
                     continue
                 downs = [scn_f.restriction_map(u, w) for w, _ in stem]
-                downs.append(scn_f.restriction_map(u, v))
-                for i, beta in enumerate(betas[verts[-1]][v]):
-                    cols = list(zip(firsts + [beta], downs))
-                    profiles = [tuple(b[down[s]] for b, down in cols)
-                                for s in scn_f.sets[u]]
-                    if not all(p in index for p in profiles):
+                # the read plan: alpha(s) = last[beta[r]] for s in dom
+                dom = sorted(scn_f.sets[u])
+                lasts = [by_stem.get(tuple(b[down[s]] for b, down in
+                                           zip(firsts, downs))) for s in dom]
+                if None in lasts:   # no outcome of G(sigma) extends the stem
+                    continue
+                down_v = scn_f.restriction_map(u, v)
+                plan = [(scn_f.sets[v].index(down_v[s]), last)
+                        for s, last in zip(dom, lasts)]
+                pi = dict(zip(verts, [w for w, _ in stem] + [v]))
+                name = _namer(pi, dom)
+                for vi, beta in betas[verts[-1]][v]:
+                    images = [last.get(beta[r]) for r, last in plan]
+                    if None in images:
                         continue
-                    fam = stem + ((v, i),)
-                    elem = MappingElement(
-                        sigma, {y: w for y, (w, _) in zip(verts, fam)},
-                        {s: index[p] for s, p in zip(scn_f.sets[u], profiles)})
-                    found[fam] = elem.key()
-                    elems[(sigma, elem.key())] = elem
+                    key = name(images)
+                    found[stem + (vi,)] = key
+                    elems[(sigma, key)] = MappingElement._of(
+                        sigma, pi, dict(zip(dom, images)), key)
         families[sigma] = found
         sets[sigma] = tuple(sorted(found.values()))
+        for a, b in zip(sets[sigma], sets[sigma][1:]):
+            if a == b:
+                raise DomainError("two elements of [F, G] over %s share the "
+                                  "outcome id %r" % (skey(sigma), a))
         # the face dropping the k-th vertex drops the k-th entry
         for k, tau in enumerate(_codim1_faces(sigma)):
             tables[(sigma, tau)] = {key: families[tau][fam[:k] + fam[k + 1:]]

@@ -10,7 +10,9 @@ pair of the bases, which the library's construction from each simplex's
 boundary must equal table for table, the simplicial LP over every degree,
 whose verdict the library's top-degree LP must match, the
 enumerate-and-filter mapping scenario that the library's construction from
-vertex elements must agree with element for element, the quadratic
+vertex elements must agree with element for element, the category of
+elements built from one vertex profile per outcome, which the library's
+construction from vertex restriction tables must equal, the quadratic
 antichain, the copy-and-filter global sections that the library's direct
 join must agree with section for section, and the hand-tabulated nerve
 space and the pullback along a simplex paired from a whole standard
@@ -28,9 +30,10 @@ from math import gcd, lcm
 from ctxlib.dist import ONE, ZERO, rat
 from ctxlib.bundles import _pi_choices
 from ctxlib.errors import DomainError, ResourceLimitError
-from ctxlib.complexes import nonempty_subsets, pair_name, skey
+from ctxlib.complexes import (SimplicialComplex, nonempty_subsets,
+                              pair_name, skey, unpair_name)
 from ctxlib.events import (EventScenario, GlobalSection, MappingElement,
-                           _codim1_faces)
+                           _codim1_faces, element_simplex)
 from ctxlib.solve import LPProblem
 from ctxlib.sset import (EMPTY, MappingSpace, SSetMap, TruncatedSSet,
                          _pair_sset, _tabulate, apply_operator, codegen,
@@ -651,6 +654,17 @@ def mapping_event_scenario_filtered(scn_f, scn_g, cap=200000):
                 table[key] = restricted.key()
             tables[(sigma, tau)] = table
     return EventScenario(base, sets, tables), elems
+
+
+def elements_by_profiles(scn):
+    """The bundle scenario of the category of elements, one vertex profile
+    per outcome of each maximal simplex."""
+    from ctxlib.bundles import BundleScenario
+    total = SimplicialComplex([element_simplex(scn, sigma, s)
+                               for sigma in scn.base.maximal
+                               for s in scn.sets[sigma]])
+    vmap = {v: unpair_name(v)[0] for v in total.vertices}
+    return BundleScenario(total, scn.base, vmap)
 
 
 def restrict_mapping_element(scn_f, scn_g, elem, tau):

@@ -187,6 +187,20 @@ class TestSectionsAndTensor:
         assert captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-input"
 
+    def test_sets_key_outside_the_base_is_invalid_input(self, capsys,
+                                                         tmp_path):
+        """A sets key naming no simplex of the complex was dropped, and the
+        scenario validated."""
+        bad = write(tmp_path, "bad.json", {
+            "kind": "event", "complex": {"maximal": [["u"]]},
+            "sets": {"u": ["0", "1"], "zz": ["5"]}, "restrictions": {}})
+        assert main(["validate", bad]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid-input" and "'zz'" in error["detail"]
+
     def test_vertex_name_with_restriction_separator(self, capsys, tmp_path):
         scn = event_presheaf(standard([["a>b", "c"]]))
         path = write(tmp_path, "scn.json", scn.to_json())
@@ -290,6 +304,23 @@ class TestMap:
         lines = captured.err.strip().splitlines()
         assert captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-input"
+
+    def test_event_kind_rejects_shared_outcome_id(self, capsys, tmp_path):
+        """Outcomes of G holding ; and > make two maps p,q -> G(y) print as
+        one id, which [F, G] would list twice."""
+        f = write(tmp_path, "f.json", {
+            "kind": "standard", "contexts": [["a"]],
+            "outcomes": {"a": ["p", "q"]}})
+        g = write(tmp_path, "g.json", {
+            "kind": "standard", "contexts": [["y"]],
+            "outcomes": {"y": ["0", "0;q>1", "1;q>0"]}})
+        assert main(["map", "--kind", "event", f, g]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid-input"
+        assert "(pi:y>[a]|al:p>0;q>1;q>0)" in error["detail"]
 
     def test_simplicial_kind_matches_golden_output(self, capsys, tmp_path):
         """The m<n>.<k> ids are what `ctx decompose` reads, so their

@@ -4,14 +4,15 @@ import pytest
 
 from conftest import (CHSH_CONTEXTS, PATH1_CONTEXTS, standard,
                       triangle_parity_scn)
-from helpers import global_sections_filtered, mapping_event_scenario_filtered
+from helpers import (elements_by_profiles, global_sections_filtered,
+                     mapping_event_scenario_filtered)
 from ctxlib.complexes import (SimplicialComplex, identity_relation, skey,
                               SimplicialRelation)
 from ctxlib import laws
 from ctxlib.errors import DomainError, ResourceLimitError
-from ctxlib.events import (EventMorphism, EventScenario, cover_profile,
-                           compose_event_morphisms, elements, element_name,
-                           event_presheaf, global_sections,
+from ctxlib.events import (EventMorphism, EventScenario, MappingElement,
+                           cover_profile, compose_event_morphisms, elements,
+                           element_name, event_presheaf, global_sections,
                            identity_event_morphism, mapping_event_scenario,
                            reindex, tensor_event, validate_event_morphism,
                            validate_event_scenario)
@@ -22,6 +23,31 @@ from ctxlib.rand import make_rng, rand_event
 @pytest.fixture(scope="module")
 def path(path_scn):
     return path_scn
+
+
+def ternary_edge_subset():
+    """An edge whose outcomes are four of the six vertex profiles, named
+    apart from them: G(u) has three outcomes, G(v) two."""
+    u, v, uv = frozenset(["u"]), frozenset(["v"]), frozenset(["u", "v"])
+    profiles = {"p": ("0", "0"), "q": ("1", "0"), "r": ("2", "1"),
+                "s": ("0", "1")}
+    return EventScenario(
+        SimplicialComplex([uv]),
+        {u: ("0", "1", "2"), v: ("0", "1"), uv: tuple(profiles)},
+        {(uv, u): {s: p[0] for s, p in profiles.items()},
+         (uv, v): {s: p[1] for s, p in profiles.items()}})
+
+
+SCENARIOS = {"point": lambda: event_presheaf(standard([["a"]])),
+             "point3": lambda: event_presheaf(
+                 standard([["a"]], outcomes=("0", "1", "2"))),
+             "edge": lambda: event_presheaf(standard([["u", "v"]])),
+             "edge3": lambda: event_presheaf(
+                 standard([["u", "v"]], outcomes=("0", "1", "2"))),
+             "cycle4": lambda: event_presheaf(standard(
+                 [["c0", "c1"], ["c1", "c2"], ["c2", "c3"], ["c0", "c3"]])),
+             "triangle": triangle_parity_scn,
+             "subset": ternary_edge_subset}
 
 
 class TestPresheaf:
@@ -247,6 +273,23 @@ class TestElements:
         assert element_name("a1", "0") in bnd.total.vertices
         assert bnd.vmap[element_name("a1", "0")] == "a1"
 
+    @pytest.mark.parametrize("f_name,g_name", [
+        ("triangle", "point"), ("triangle", "edge"), ("point", "triangle"),
+        ("edge", "triangle"), ("triangle", "triangle"), ("point", "subset")])
+    def test_mapped_scenarios_match_profile_oracle(self, f_name, g_name):
+        mapped, _ = mapping_event_scenario(SCENARIOS[f_name](),
+                                           SCENARIOS[g_name]())
+        got, want = elements(mapped), elements_by_profiles(mapped)
+        assert got.total == want.total and got.base == want.base
+        assert got.vmap == want.vmap
+
+    def test_scenarios_match_profile_oracle(self, chsh_scn, path_scn):
+        for scn in (chsh_scn, path_scn, triangle_parity_scn(),
+                    ternary_edge_subset()):
+            got, want = elements(scn), elements_by_profiles(scn)
+            assert (got.total, got.base, got.vmap) == \
+                (want.total, want.base, want.vmap)
+
 
 def registry(elems):
     return {k: (e.sigma, e.pi, e.alpha) for k, e in elems.items()}
@@ -285,6 +328,21 @@ class TestMapping:
                      "triangle": triangle_parity_scn()}
         f, g = scenarios[f_name], scenarios[g_name]
         assert_matches_filtered(f, g)
+
+    @pytest.mark.parametrize("f_name,g_name", [
+        ("edge", "edge3"), ("edge", "cycle4"), ("point3", "edge"),
+        ("point", "subset"), ("edge", "subset")])
+    def test_benchmark_shaped_pairs_match_filtered(self, f_name, g_name):
+        """The pairs the benchmark maps, with G(y) of three outcomes split
+        off the stem, and a G whose edge has only some vertex profiles."""
+        f, g = SCENARIOS[f_name](), SCENARIOS[g_name]()
+        assert_matches_filtered(f, g)
+        mapped, elems = mapping_event_scenario(f, g)
+        for sigma, keys in mapped.sets.items():
+            for key in keys:
+                elem = elems[(sigma, key)]
+                assert elem.key() == key
+                assert MappingElement(sigma, elem.pi, elem.alpha).key() == key
 
     def test_rand_event_pairs_match_filtered(self):
         """Seeded pairs, F on at most two vertices and G on up to five;
