@@ -115,21 +115,16 @@ def validate_bundle(bnd):
 
 def to_event(bnd):
     """The event scenario of fibers with face-transport restrictions."""
-    from .events import EventScenario
+    from .events import EventScenario, _codim1_faces
     report = validate_bundle(bnd)
     if not report["ok"]:
         raise DomainError("invalid bundle: %s" % report["failures"][:3])
-    sets = {}
-    tables = {}
+    sets, tables = {}, {}
     for sigma in bnd.base.simplices():
-        sets[sigma] = tuple(skey(g) for g in bnd.fiber(sigma))
-        for x in sorted(sigma):
-            if len(sigma) == 1:
-                break
-            tau = sigma - {x}
-            tr = face_transport(bnd, sigma, tau)
-            tables[(sigma, tau)] = {skey(g): skey(tr[g])
-                                    for g in bnd.fiber(sigma)}
+        sets[sigma] = tuple(map(skey, bnd.fiber(sigma)))
+        for tau in _codim1_faces(sigma):
+            tables[(sigma, tau)] = {skey(g): skey(h) for g, h in
+                                    face_transport(bnd, sigma, tau).items()}
     return EventScenario(bnd.base, sets, tables)
 
 
@@ -223,10 +218,7 @@ def pullback_functoriality_iso(bnd, rel1, rel2):
 
 
 def union_of_family(family):
-    out = frozenset()
-    for g in family:
-        out |= g
-    return out
+    return frozenset().union(*family)
 
 
 def family_over(bnd, base_family, gamma):
@@ -241,11 +233,11 @@ def family_over(bnd, base_family, gamma):
 def mapping_bundle_scenario(bnd_f, bnd_g, cap=200000):
     """The bundle scenario of morphisms from f into restrictions of g,
     computed as the category of elements of the mapping event scenario of the
-    fiber functors.  Returns (bundle, mapping scenario, element registry)."""
+    fiber functors.  Returns (bundle, mapping scenario, element registry);
+    the registry decodes an element only when it is read."""
     from .events import elements, mapping_event_scenario
-    scn_f = to_event(bnd_f)
-    scn_g = to_event(bnd_g)
-    mapped, elems = mapping_event_scenario(scn_f, scn_g, cap=cap)
+    mapped, elems = mapping_event_scenario(to_event(bnd_f), to_event(bnd_g),
+                                           cap=cap)
     return elements(mapped), mapped, elems
 
 
@@ -301,9 +293,7 @@ def direct_mapping_top(bnd_f, bnd_g, sigma, pi, amap):
     """Extract the (sigma, pi, top-map) normal form of a direct morphism."""
     from .events import MappingElement
     sigma = frozenset(sigma)
-    u = frozenset()
-    for x in sigma:
-        u |= pi[x]
+    u = frozenset().union(*(pi[x] for x in sigma))
     alpha_top = {}
     for gamma in bnd_f.fiber(u):
         image = frozenset(

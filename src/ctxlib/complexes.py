@@ -116,6 +116,15 @@ class SimplicialComplex:
         self.vertices = tuple(sorted(verts))
         self._simplices = None
 
+    @classmethod
+    def _of(cls, maximal):
+        """Nonempty, pairwise incomparable simplices; repeats are merged."""
+        cpx, maxs = cls.__new__(cls), set(maximal)
+        cpx.maximal = tuple(sorted(maxs, key=skey))
+        cpx.vertices = tuple(sorted(frozenset().union(*maxs)))
+        cpx._simplices = None
+        return cpx
+
     def __contains__(self, sigma):
         sigma = frozenset(sigma)
         return bool(sigma) and any(sigma <= m for m in self.maximal)

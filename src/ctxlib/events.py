@@ -6,12 +6,13 @@ Restriction maps are supplied only for codimension-1 inclusions; all other
 restrictions are composites, with path independence checked by validation.
 """
 
-from itertools import combinations, product
+from collections.abc import Mapping
+from itertools import product
 from operator import add
 
 from .complexes import (SimplicialComplex, identity_relation, kleisli_compose,
-                        pair_name, simplex_lists, skey, split_key,
-                        strings, tensor_complex, unpair_name)
+                        pair_name, project_simplex, simplex_lists, skey,
+                        split_key, strings, tensor_complex)
 from .errors import CompositionError, DomainError, ResourceLimitError
 
 
@@ -58,6 +59,14 @@ class EventScenario:
                                              for s in self.sets[sigma]}
         self._res = {}
         self._profiles = {}
+
+    @classmethod
+    def _of(cls, base, sets, codim1):
+        """Tables known total on sets[sigma], in its order, into the faces."""
+        scn = cls.__new__(cls)
+        scn.base, scn.sets, scn.codim1, scn._res, scn._profiles = (
+            base, sets, codim1, {}, {})
+        return scn
 
     def restriction_map(self, sigma, tau):
         """The composite restriction F(sigma) -> F(tau) for tau <= sigma."""
@@ -184,27 +193,6 @@ def validate_event_scenario(scn):
     return {"ok": not failures, "failures": failures}
 
 
-def intersection_cover_objects(cover):
-    """All nonempty intersections of nonempty subfamilies of the cover."""
-    cover = [frozenset(c) for c in cover]
-    out = set()
-    for r in range(1, len(cover) + 1):
-        for picks in combinations(cover, r):
-            inter = frozenset.intersection(*picks)
-            if inter:
-                out.add(inter)
-    return sorted(out, key=lambda s: (len(s), skey(s)))
-
-
-def cover_profile(scn, sigma, cover):
-    """Restriction profile of each outcome at sigma over the intersection
-    diagram of the cover; used to cross-check the locality criterion."""
-    objs = intersection_cover_objects(cover)
-    sigma = frozenset(sigma)
-    return {s: tuple(scn.restrict(sigma, tau, s) for tau in objs)
-            for s in scn.sets[sigma]}
-
-
 # ---------------------------------------------------------------------------
 # Standard scenarios and the event presheaf
 
@@ -243,24 +231,16 @@ def product_outcome(components):
 def event_presheaf(standard):
     """F(sigma) = product of the vertex outcome sets, with projections."""
     base = standard.base
-    sets = {}
-    tables = {}
+    sets, tables = {}, {}
     for sigma in base.simplices():
         verts = sorted(sigma)
         combos = list(product(*[standard.outcomes[x] for x in verts]))
-        if len(sigma) == 1:
-            sets[sigma] = tuple(c[0] for c in combos)
-        else:
-            sets[sigma] = tuple(product_outcome(c) for c in combos)
+        sets[sigma] = tuple(map(product_outcome, combos))
         for tau in _codim1_faces(sigma):
-            tverts = sorted(tau)
-            idx = [verts.index(x) for x in tverts]
-            table = {}
-            for c in combos:
-                key = c[0] if len(sigma) == 1 else product_outcome(c)
-                sub = tuple(c[i] for i in idx)
-                table[key] = sub[0] if len(tau) == 1 else product_outcome(sub)
-            tables[(sigma, tau)] = table
+            idx = [verts.index(x) for x in sorted(tau)]
+            tables[(sigma, tau)] = {
+                key: product_outcome([c[i] for i in idx])
+                for key, c in zip(sets[sigma], combos)}
     return EventScenario(base, sets, tables)
 
 
@@ -357,24 +337,17 @@ def compose_event_morphisms(m1, m2):
 
 def tensor_event(f1, f2):
     base = tensor_complex(f1.base, f2.base)
-    sets = {}
-    tables = {}
-    parts = {}
-    for sigma in base.simplices():
-        p1 = frozenset(unpair_name(v)[0] for v in sigma)
-        p2 = frozenset(unpair_name(v)[1] for v in sigma)
-        parts[sigma] = (p1, p2)
-        sets[sigma] = tuple(pair_name(a, b)
-                            for a in f1.sets[p1] for b in f2.sets[p2])
-    for sigma in base.simplices():
-        p1, p2 = parts[sigma]
+    parts = {sigma: (project_simplex(sigma, 0), project_simplex(sigma, 1))
+             for sigma in base.simplices()}
+    sets, tables = {}, {}
+    for sigma, (p1, p2) in parts.items():
+        pairs = list(product(f1.sets[p1], f2.sets[p2]))
+        sets[sigma] = tuple(pair_name(a, b) for a, b in pairs)
         for tau in _codim1_faces(sigma):
-            q1, q2 = parts[tau]
-            r1 = f1.restriction_map(p1, q1)
-            r2 = f2.restriction_map(p2, q2)
-            tables[(sigma, tau)] = {
-                pair_name(a, b): pair_name(r1[a], r2[b])
-                for a in f1.sets[p1] for b in f2.sets[p2]}
+            r1 = f1.restriction_map(p1, parts[tau][0])
+            r2 = f2.restriction_map(p2, parts[tau][1])
+            tables[(sigma, tau)] = {pair_name(a, b): pair_name(r1[a], r2[b])
+                                    for a, b in pairs}
     return EventScenario(base, sets, tables)
 
 
@@ -469,18 +442,22 @@ def element_simplex(scn, sigma, s):
 
 
 def elements(scn):
-    """The bundle scenario of the category of elements."""
+    """The bundle scenario of the category of elements; no top lies inside
+    another (one size per maximal simplex, incomparable images across)."""
     from .bundles import BundleScenario
     names = {x: {s: element_name(x, s) for s in scn.sets[frozenset([x])]}
              for x in scn.base.vertices}
+    owner = {v: x for x, name in names.items() for v in name.values()}
+    if len(owner) < sum(map(len, names.values())):
+        raise DomainError("two vertex elements share a name")
     tops = []
     for sigma in scn.base.maximal:
         cols = [(names[x], scn.restriction_map(sigma, [x])) for x in sigma]
         tops += [frozenset([name[down[s]] for name, down in cols])
                  for s in scn.sets[sigma]]
-    total = SimplicialComplex(tops)
-    vmap = {v: unpair_name(v)[0] for v in total.vertices}
-    return BundleScenario(total, scn.base, vmap)
+    total = SimplicialComplex._of(tops)
+    return BundleScenario(total, scn.base,
+                          {v: owner[v] for v in total.vertices})
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +465,12 @@ def elements(scn):
 
 
 def _namer(pi, dom):
-    """The id of (pi, alpha) as a function of alpha on the sorted dom."""
+    """The tags s> for s in the sorted dom, and the id of (pi, alpha) as a
+    function of the entries tag + alpha(s)."""
     head = "(pi:%s|al:" % ";".join("%s>[%s]" % (x, skey(pi[x]))
                                    for x in sorted(pi))
-    tags = [s + ">" for s in dom]
-    return lambda images: head + ";".join(map(add, tags, images)) + ")"
+    return [s + ">" for s in dom], lambda entries: (
+        head + ";".join(entries) + ")")
 
 
 class MappingElement:
@@ -515,15 +493,13 @@ class MappingElement:
 
     @property
     def domain(self):
-        out = frozenset()
-        for s in self.pi.values():
-            out |= s
-        return out
+        return frozenset().union(*self.pi.values())
 
     def key(self):
         if self._key is None:
             dom = sorted(self.alpha)
-            self._key = _namer(self.pi, dom)([self.alpha[s] for s in dom])
+            tags, name = _namer(self.pi, dom)
+            self._key = name(map(add, tags, map(self.alpha.get, dom)))
         return self._key
 
     def __eq__(self, other):
@@ -531,6 +507,37 @@ class MappingElement:
 
     def __hash__(self):
         return hash(self.key())
+
+
+class _Registry(Mapping):
+    """(sigma, id) -> the element of [F, G] behind the id, decoded on read
+    from its family: pi(y) = u_y, and alpha(s) is the outcome of G(sigma)
+    whose vertex profile is (beta_y(s|u_y))_y."""
+
+    def __init__(self, byid, betas, scn_f, scn_g):
+        self._byid, self._betas, self._f, self._g = byid, betas, scn_f, scn_g
+
+    def __getitem__(self, key):
+        sigma, name = key
+        fam, f = self._byid[sigma][name], self._f
+        pi = dict(zip(sorted(sigma), [w for w, _ in fam]))
+        u = frozenset().union(*pi.values())
+        cols = [(f.restriction_map(u, w),
+                 dict(zip(f.sets[w], self._betas[x][w][i][1])))
+                for x, (w, i) in zip(sorted(sigma), fam)]
+        index = self._g.profile_index(sigma)
+        return MappingElement._of(sigma, pi, {
+            s: index[tuple(b[down[s]] for down, b in cols)]
+            for s in sorted(f.sets[u])}, name)
+
+    def __contains__(self, key):
+        return key[1] in self._byid.get(key[0], ())
+
+    def __iter__(self):
+        return ((s, k) for s, ids in self._byid.items() for k in ids)
+
+    def __len__(self):
+        return sum(map(len, self._byid.values()))
 
 
 def mapping_event_scenario(scn_f, scn_g, cap=200000):
@@ -544,6 +551,7 @@ def mapping_event_scenario(scn_f, scn_g, cap=200000):
     For valid F and G these are exactly the natural maps (pi, alpha).  The
     cap bounds |simplices of F|^|sigma| and |G(sigma)|^|F(u)|, and is
     checked before the inputs are validated.
+    The registry decodes on read; the tables are built total, so unchecked.
     """
     base, f_sims = scn_g.base, scn_f.base.simplices()
     widest = max((len(scn_f.sets[u]) for u in f_sims), default=0)
@@ -567,7 +575,7 @@ def mapping_event_scenario(scn_f, scn_g, cap=200000):
                  for v in f_sims}
              for y in base.vertices}
     families = {}   # sigma -> {((u_y, index into betas[y][u_y]), ...): key}
-    elems, sets, tables = {}, {}, {}
+    byid, sets, tables = {}, {}, {}     # byid: sigma -> {key: family}
     for sigma in base.simplices():
         verts = sorted(sigma)
         by_stem = {}    # G(sigma) by the profile on all but the last vertex
@@ -584,33 +592,34 @@ def mapping_event_scenario(scn_f, scn_g, cap=200000):
                 if u not in scn_f.base:
                     continue
                 downs = [scn_f.restriction_map(u, w) for w, _ in stem]
-                # the read plan: alpha(s) = last[beta[r]] for s in dom
+                # the read plan: s>alpha(s) = last[beta[r]] for s in dom
                 dom = sorted(scn_f.sets[u])
                 lasts = [by_stem.get(tuple(b[down[s]] for b, down in
                                            zip(firsts, downs))) for s in dom]
                 if None in lasts:   # no outcome of G(sigma) extends the stem
                     continue
                 down_v = scn_f.restriction_map(u, v)
-                plan = [(scn_f.sets[v].index(down_v[s]), last)
-                        for s, last in zip(dom, lasts)]
                 pi = dict(zip(verts, [w for w, _ in stem] + [v]))
-                name = _namer(pi, dom)
+                tags, name = _namer(pi, dom)
+                plan = [(scn_f.sets[v].index(down_v[s]),
+                         {b: tag + t for b, t in last.items()})
+                        for s, tag, last in zip(dom, tags, lasts)]
                 for vi, beta in betas[verts[-1]][v]:
-                    images = [last.get(beta[r]) for r, last in plan]
-                    if None in images:
+                    entries = [last.get(beta[r]) for r, last in plan]
+                    if None in entries:
                         continue
-                    key = name(images)
-                    found[stem + (vi,)] = key
-                    elems[(sigma, key)] = MappingElement._of(
-                        sigma, pi, dict(zip(dom, images)), key)
+                    found[stem + (vi,)] = name(entries)
         families[sigma] = found
-        sets[sigma] = tuple(sorted(found.values()))
-        for a, b in zip(sets[sigma], sets[sigma][1:]):
-            if a == b:
-                raise DomainError("two elements of [F, G] over %s share the "
-                                  "outcome id %r" % (skey(sigma), a))
+        byid[sigma] = ids = dict(sorted(zip(found.values(), found)))
+        if len(ids) < len(found):
+            shared = min(k for f, k in found.items() if ids[k] != f)
+            raise DomainError("two elements of [F, G] over %s share the "
+                              "outcome id %r" % (skey(sigma), shared))
+        sets[sigma] = tuple(ids)
         # the face dropping the k-th vertex drops the k-th entry
         for k, tau in enumerate(_codim1_faces(sigma)):
-            tables[(sigma, tau)] = {key: families[tau][fam[:k] + fam[k + 1:]]
-                                    for fam, key in found.items()}
-    return EventScenario(base, sets, tables), elems
+            face = families[tau]
+            tables[(sigma, tau)] = {key: face[fam[:k] + fam[k + 1:]]
+                                    for key, fam in ids.items()}
+    return (EventScenario._of(base, sets, tables),
+            _Registry(byid, betas, scn_f, scn_g))

@@ -383,6 +383,8 @@ def nerve_space(cpx, d):
 
 def nerve_bundle(bnd, d=None):
     """The nerve of a bundle: apply the bundle map entrywise to tuples."""
+    if not bnd.base.maximal:
+        raise DomainError("the nerve of a bundle needs a nonempty base")
     if d is None:
         d = bnd.base.dim() + 1
     total = nerve_space(bnd.total, d)

@@ -14,10 +14,11 @@ vertex elements must agree with element for element, the category of
 elements built from one vertex profile per outcome, which the library's
 construction from vertex restriction tables must equal, the quadratic
 antichain, the copy-and-filter global sections that the library's direct
-join must agree with section for section, and the hand-tabulated nerve
+join must agree with section for section, the hand-tabulated nerve
 space and the pullback along a simplex paired from a whole standard
 simplex, which the library's simplicial sets tabulated from their cells
-must equal table for table.
+must equal table for table, and the restriction profiles over a cover's
+intersection diagram that cross-check the locality criterion.
 
 These deliberately avoid the library's LP solver so that they can serve as a
 cross-check on it.
@@ -656,9 +657,31 @@ def mapping_event_scenario_filtered(scn_f, scn_g, cap=200000):
     return EventScenario(base, sets, tables), elems
 
 
+def intersection_cover_objects(cover):
+    """All nonempty intersections of nonempty subfamilies of the cover."""
+    cover = [frozenset(c) for c in cover]
+    out = set()
+    for r in range(1, len(cover) + 1):
+        for picks in combinations(cover, r):
+            inter = frozenset.intersection(*picks)
+            if inter:
+                out.add(inter)
+    return sorted(out, key=lambda s: (len(s), skey(s)))
+
+
+def cover_profile(scn, sigma, cover):
+    """Restriction profile of each outcome at sigma over the intersection
+    diagram of the cover; used to cross-check the locality criterion."""
+    objs = intersection_cover_objects(cover)
+    sigma = frozenset(sigma)
+    return {s: tuple(scn.restrict(sigma, tau, s) for tau in objs)
+            for s in scn.sets[sigma]}
+
+
 def elements_by_profiles(scn):
     """The bundle scenario of the category of elements, one vertex profile
-    per outcome of each maximal simplex."""
+    per outcome of each maximal simplex; its tops go through the checked
+    constructor and so through complexes._antichain."""
     from ctxlib.bundles import BundleScenario
     total = SimplicialComplex([element_simplex(scn, sigma, s)
                                for sigma in scn.base.maximal

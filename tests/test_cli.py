@@ -258,6 +258,22 @@ class TestNerve:
         assert captured.out == "" and len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-input"
 
+    @pytest.mark.parametrize("argv", [
+        ["nerve", "B"], ["nerve", "B", "--truncate", "1"],
+        ["map", "--kind", "simplicial", "B", "B"],
+        ["map", "--kind", "simplicial", "B", "B", "--truncate", "1"]])
+    def test_empty_bundle_is_invalid_input(self, capsys, tmp_path, argv):
+        empty = write(tmp_path, "empty.json", {
+            "kind": "bundle", "base": {"maximal": []},
+            "total": {"maximal": []}, "map": {}})
+        assert main([empty if a == "B" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid-input"
+        assert "nonempty base" in error["detail"]
+
     @pytest.mark.parametrize("vmap", [[["a", "u"]], {"a": ["u"]}],
                              ids=["map-list", "map-value-list"])
     def test_malformed_bundle_is_invalid_input(self, capsys, tmp_path,

@@ -4,14 +4,16 @@ import pytest
 
 from conftest import (CHSH_CONTEXTS, PATH1_CONTEXTS, standard,
                       triangle_parity_scn)
-from helpers import (elements_by_profiles, global_sections_filtered,
+from helpers import (cover_profile, elements_by_profiles,
+                     global_sections_filtered,
                      mapping_event_scenario_filtered)
 from ctxlib.complexes import (SimplicialComplex, identity_relation, skey,
                               SimplicialRelation)
 from ctxlib import laws
+from ctxlib.bundles import mapping_bundle_scenario
 from ctxlib.errors import DomainError, ResourceLimitError
 from ctxlib.events import (EventMorphism, EventScenario, MappingElement,
-                           cover_profile, compose_event_morphisms, elements,
+                           StandardScenario, compose_event_morphisms, elements,
                            element_name, event_presheaf, global_sections,
                            identity_event_morphism, mapping_event_scenario,
                            reindex, tensor_event, validate_event_morphism,
@@ -273,6 +275,15 @@ class TestElements:
         assert element_name("a1", "0") in bnd.total.vertices
         assert bnd.vmap[element_name("a1", "0")] == "a1"
 
+    def test_element_names_are_read_from_the_names_table(self):
+        """A vertex name may hold |: (a|b|0) is outcome 0 at a|b.  Outcome
+        b|c at a and outcome c at a|b would both be named (a|b|c)."""
+        bnd = elements(event_presheaf(standard([["a|b", "c"]])))
+        assert bnd.vmap[element_name("a|b", "0")] == "a|b"
+        clash = StandardScenario([["a", "a|b"]], {"a": ["b|c"], "a|b": ["c"]})
+        with pytest.raises(DomainError, match="share a name"):
+            elements(event_presheaf(clash))
+
     @pytest.mark.parametrize("f_name,g_name", [
         ("triangle", "point"), ("triangle", "edge"), ("point", "triangle"),
         ("edge", "triangle"), ("triangle", "triangle"), ("point", "subset")])
@@ -343,6 +354,50 @@ class TestMapping:
                 elem = elems[(sigma, key)]
                 assert elem.key() == key
                 assert MappingElement(sigma, elem.pi, elem.alpha).key() == key
+
+    @pytest.mark.parametrize("f_name,g_name", [
+        ("edge", "edge3"), ("edge", "cycle4"), ("point3", "edge"),
+        ("point", "subset"), ("edge", "subset")])
+    def test_trusted_tables_pass_the_checked_constructors(self, f_name,
+                                                          g_name):
+        """The scenario and the total complex of its elements are built
+        unchecked; the checked constructors must give them back unchanged."""
+        mapped, _ = mapping_event_scenario(SCENARIOS[f_name](),
+                                           SCENARIOS[g_name]())
+        assert EventScenario.from_json(mapped.to_json()) == mapped
+        for (sigma, _), table in mapped.codim1.items():
+            assert tuple(table) == mapped.sets[sigma]
+        got, want = elements(mapped), elements_by_profiles(mapped)
+        checked = SimplicialComplex(got.total.maximal)
+        assert (checked, checked.vertices) == (got.total, got.total.vertices)
+        assert (got.total, got.base, got.vmap) == \
+            (want.total, want.base, want.vmap)
+
+    def test_registry_is_decoded_on_read(self, monkeypatch):
+        from ctxlib import events
+        made = []
+
+        class Counted(MappingElement):
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                made.append(cls)
+                return super().__new__(cls)
+
+        monkeypatch.setattr(events, "MappingElement", Counted)
+        f, g = SCENARIOS["edge"](), SCENARIOS["edge3"]()
+        built = [mapping_event_scenario(f, g),
+                 mapping_bundle_scenario(elements(f), elements(g))[1:]]
+        assert made == []
+        for mapped, elems in built:
+            assert set(elems) == {(sigma, key) for sigma, keys in
+                                  mapped.sets.items() for key in keys}
+            assert len(elems) == sum(map(len, mapped.sets.values()))
+            sigma = mapped.base.maximal[0]
+            key = mapped.sets[sigma][-1]
+            assert (sigma, key) in elems and (sigma, "?") not in elems
+            assert elems[(sigma, key)].key() == key
+        assert len(made) == 2
 
     def test_rand_event_pairs_match_filtered(self):
         """Seeded pairs, F on at most two vertices and G on up to five;
