@@ -68,9 +68,11 @@ def load_simplicial_distribution(path):
     table = {}
     for key, weights in tables.items():
         n, sep, x = key.partition(":")
-        if not sep or not n.isdigit():
+        if not sep or not (n.isascii() and n.isdigit()):
             raise DomainError("distribution key %r is not <degree>:<simplex>"
                               % key)
+        if (int(n), x) in table:
+            raise DomainError("two distributions at %d:%s" % (int(n), x))
         table[(int(n), x)] = Dist({o: rat(v) for o, v in weights.items()})
     return SimplicialDistribution(table)
 

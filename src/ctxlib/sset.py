@@ -26,7 +26,7 @@ class TruncatedSSet:
     (n < d).  payload optionally carries structured data per simplex.
     """
 
-    __slots__ = ("d", "simp", "face", "degen", "payload", "_degsrc")
+    __slots__ = ("d", "simp", "face", "degen", "payload")
 
     def __init__(self, d, simp, face, degen, payload=None):
         self.d = d
@@ -34,27 +34,12 @@ class TruncatedSSet:
         self.face = {n: dict(face.get(n, {})) for n in range(1, d + 1)}
         self.degen = {n: dict(degen.get(n, {})) for n in range(d)}
         self.payload = payload or {}
-        self._degsrc = None
 
     def dface(self, n, i, x):
         return self.face[n][x][i]
 
     def sdegen(self, n, j, x):
         return self.degen[n][x][j]
-
-    def degeneracy_source(self):
-        """For each degenerate simplex, the first (j, parent) producing it."""
-        if self._degsrc is None:
-            src = {}
-            for n in range(self.d):
-                for x in self.simp[n]:
-                    for j, y in enumerate(self.degen[n][x]):
-                        src.setdefault((n + 1, y), (j, x))
-            self._degsrc = src
-        return self._degsrc
-
-    def is_degenerate(self, n, x):
-        return (n, x) in self.degeneracy_source()
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSSet) and self.d == other.d
@@ -410,27 +395,30 @@ def _by_faces(Y, n, ys):
     return table
 
 
-def _extend(X, Y, todo, table, comp):
+def _extend(face, degen, Y, todo, table, comp):
     """Set comp[n][x] for the simplices (n, x) in todo, listed after their
     faces and degeneracy sources, over values in Y whose faces match those
     set, and yield each time all are set.  Depth first over one assignment,
     branching only on nondegenerate simplices, over the candidates
     table(n, x) groups by face tuple; a degenerate simplex takes the value
-    its degeneracy source forces.  A branch is cut once a later
-    nondegenerate simplex has all its faces set and no candidate."""
-    degsrc = X.degeneracy_source()
+    forced by its first s_j from todo, read off degen, which like face is
+    shaped like TruncatedSSet's and covers todo.  A branch is cut once a
+    later nondegenerate simplex has all its faces set and no candidate."""
     # branches[k]: (n, x, faces of x, candidates by face tuple, degenerate
     # simplices that x forces, later branches whose faces x completes);
-    # known[(n, x)]: the branch whose choice sets the value of x
-    branches, known = [], {}
+    # known[(n, x)]: the branch whose choice sets the value of x;
+    # degsrc[(n, z)]: the first (j, parent) in todo with s_j parent = z
+    branches, known, degsrc = [], {}, {}
     for n, x in todo:
+        for j, z in enumerate(degen[n][x] if n in degen else ()):
+            degsrc.setdefault((n + 1, z), (j, x))
         src = degsrc.get((n, x))
         if src is not None:
             k = known[(n, x)] = known[(n - 1, src[1])]
             branches[k][4].append((n, x) + src)
             continue
         k = known[(n, x)] = len(branches)
-        xfaces = X.face[n][x] if n else ()
+        xfaces = face[n][x] if n else ()
         last = max([known.get((n - 1, f), -1) for f in xfaces], default=-1)
         if 0 <= last < k - 1:
             branches[last][5].append(k)
@@ -470,7 +458,8 @@ def enumerate_sset_maps(X, Y, candidates, cap=10 ** 6):
     if not any(X.simp.values()):
         return [SSetMap(X, Y, comp, check=False)]
     out = []
-    for _ in _extend(X, Y, [(n, x) for n in comp for x in comp[n]],
+    for _ in _extend(X.face, X.degen, Y, [(n, x) for n in comp
+                                          for x in comp[n]],
                      lambda n, x: _by_faces(Y, n, candidates(n, x)), comp):
         if len(out) == cap:
             raise ResourceLimitError("map enumeration over cap", cap=cap,
@@ -747,26 +736,20 @@ class MappingSpace:
     Simplicial Objects in Algebraic Topology, 1967), so alpha is its
     boundary d_0 alpha .. d_n alpha, joined from degree n - 1 with
     d_i d_j = d_(j-1) d_i, plus its values on the cells with phi
-    surjective, searched into g's fibers.  Its faces are that boundary, and
-    s_j alpha reads alpha through one index per (n, x, j).  Pullbacks of f
-    (pb_src) are built once, on first use; pb_dst, the pullbacks of g,
-    serves outside callers.
+    surjective, searched into g's fibers over their faces and degeneracies
+    as computed on cells (searched).  Its faces are that boundary, and
+    s_j alpha reads alpha through one index per (n, x, j).  No pullback
+    simplicial set is built: pb_src and pb_dst, the pullbacks of f and g
+    along a simplex, each built once on first use, serve outside callers.
     """
 
     __slots__ = ("f", "g", "d", "sset", "proj", "ids", "payload",
                  "_px", "_py", "_cells")
 
     def __init__(self, f, g, d):
-        self.f = f
-        self.g = g
-        self.d = d
-        self.sset = None
-        self.proj = None
-        self.ids = {}
-        self.payload = {}
-        self._px = {}
-        self._py = {}
-        self._cells = {}
+        self.f, self.g, self.d, self.sset, self.proj = f, g, d, None, None
+        self.ids, self.payload, self._px, self._py, self._cells = \
+            {}, {}, {}, {}, {}
 
     def pb_src(self, n, x):
         if (n, x) not in self._px:
@@ -783,16 +766,37 @@ class MappingSpace:
         order of SSetMap.key() (degree, then pid), the position of each
         (m, phi, e), and the format of the key of a map from its values."""
         if (n, x) not in self._cells:
-            PX = self.pb_src(n, x)
-            cells = tuple((m, pid) + PX.payload[(m, pid)]
-                          for m in range(self.d + 1)
-                          for pid in sorted(PX.simp[m]))
+            X = self.f.target
+            cells = tuple((m,) + c for m in range(self.d + 1) for c in sorted(
+                (pair_name(theta_id(phi), e), phi, e)
+                for phi in monotone_maps(m, n)
+                for e in self.f.fiber(m, apply_operator(X, n, x, phi))))
             form = ";".join("%d:%s>" % (m, pid.replace("%", "%%"))
                             + pair_name(theta_id(phi), "%s")
                             for m, pid, phi, _ in cells)
             pos = {(m, phi, e): k for k, (m, _, phi, e) in enumerate(cells)}
             self._cells[(n, x)] = (cells, pos, form)
         return self._cells[(n, x)]
+
+    def searched(self, n, x):
+        """The cells of cells(n, x) with phi surjective, as (m, position),
+        and their faces and degeneracies by position, shaped like
+        TruncatedSSet.face and .degen: d_i (phi, e) = (phi without entry i,
+        d_i e) and s_j (phi, e) = (phi with entry j repeated, s_j e)."""
+        cells, pos, _ = self.cells(n, x)
+        todo = [(c[0], k) for k, c in enumerate(cells)
+                if len(set(c[2])) == n + 1]
+
+        def rule(degrees, shift, ops, act):
+            return {m: {k: tuple([pos[(m + shift, act(cells[k][2], i),
+                                       ops[m][cells[k][3]][i])]
+                                  for i in range(m + 1)])
+                        for mk, k in todo if mk == m} for m in degrees}
+
+        return todo, rule(range(1, self.d + 1), -1, self.f.source.face,
+                          lambda phi, i: phi[:i] + phi[i + 1:]), \
+            rule(range(self.d), 1, self.f.source.degen,
+                 lambda phi, j: phi[:j + 1] + phi[j:])
 
     def value(self, n, sid, m, phi, e):
         """The e' to which simplex (n, sid) sends the cell (m, phi, e)."""
@@ -842,7 +846,7 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
             for j in range(len(faces) + 1):
                 byface.setdefault((y, x, faces[:j]), []).append(a)
         for x in X.simp[n]:
-            PX, xf = ms.pb_src(n, x), X.face[n][x] if n else ()
+            xf = X.face[n][x] if n else ()
             cells, _, form = ms.cells(n, x)
             # a cell whose phi misses i is read off alpha_i = d_i alpha: src
             # holds (i, its offset in the boundary alpha_0 + ... + alpha_n)
@@ -850,16 +854,17 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
             for i in range(len(xf)):
                 at = index(n, x, coface(i, n))
                 for p, k in enumerate(at):
-                    src.setdefault(cells[k][:2], (i, size + p))
+                    src.setdefault(k, (i, size + p))
                 size += len(at)
-            todo = [c[:3] for c in cells if c[:2] not in src]
-            searched = iter(range(size, size + len(todo)))
-            gather = [src[c[:2]][1] if c[:2] in src else next(searched)
-                      for c in cells]
-            faced = [(m, phi, [(m - 1, q) for q in PX.face[m][pid]])
-                     for m, pid, phi in todo
-                     if m and not PX.is_degenerate(m, pid)]
-            fixed = {q + (src[q][1],) for _, _, qs in faced for q in qs
+            todo, face, degen = ms.searched(n, x)
+            offsets = iter(range(size, size + len(todo)))
+            gather = [src[k][1] if k in src else next(offsets)
+                      for k in range(len(cells))]
+            degenerate = {z for t in degen.values() for s in t.values()
+                          for z in s}
+            faced = [(m, cells[k][2], face[m][k]) for m, k in todo
+                     if m and k not in degenerate]
+            fixed = {(m - 1, q, src[q][1]) for m, _, qs in faced for q in qs
                      if q in src}
             for y in Y.simp[n]:
                 yf = Y.face[n][y] if n else ()
@@ -910,12 +915,10 @@ def mapping_simplicial(f, g, d=None, cap=10 ** 6):
                 for A, bound in join((), ()):
                     for m, q, at in fixed:
                         comp[m][q] = bound[at]
-                    for _ in _extend(PX, G, [c[:2] for c in todo],
-                                     lambda m, pid: table(
-                                         n, y, PX.payload[(m, pid)][0]),
+                    for _ in _extend(face, degen, G, todo,
+                                     lambda m, k: table(n, y, cells[k][2]),
                                      comp):
-                        full = bound + tuple([comp[m][pid]
-                                              for m, pid, _ in todo])
+                        full = bound + tuple([comp[m][k] for m, k in todo])
                         values = tuple(map(full.__getitem__, gather))
                         level.append((y, x, form % values, values, A))
                         total += 1
@@ -1111,12 +1114,10 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
             yid, xid, _ = mspace.payload[(n, sid)]
             sig = NSp.payload[(n, yid)]
             dom = NS.payload[(n, xid)]
-            out = []
-            ok = True
+            out, tid = [], None
             for k in range(1, n + 1):
                 sig_k, tau_k = sig[k - 1], dom[k - 1]
                 if bool(sig_k) != bool(tau_k):
-                    ok = False
                     break
                 if not sig_k:
                     out.append(EMPTY)
@@ -1130,16 +1131,12 @@ def compare_nerve_mapping(bnd_f, bnd_g, d=None, cap=10 ** 6):
                 elem = MappingElement(sig_k,
                                       {v: tau_k for v in sig_k}, alpha_k)
                 if (sig_k, elem.key()) not in elems:
-                    ok = False
                     break
                 out.append(vset_of[(sig_k, elem.key())])
-            if ok:
-                tid = nerve_tuple_id(tuple(out))
-                if tid not in ngg_index[n]:
-                    ok = False
-            if ok:
-                t[(n, sid)] = tid
             else:
-                t[(n, sid)] = None
+                tid = nerve_tuple_id(tuple(out))
+            if tid not in ngg_index[n]:
+                tid = None
                 defects.append((n, sid))
+            t[(n, sid)] = tid
     return NerveComparison(mspace, lmap, t, defects)

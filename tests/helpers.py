@@ -368,8 +368,13 @@ def verify_witness_fraction(prob, x):
 
 def enumerate_sset_maps_bfs(X, Y, candidates, cap=10 ** 6):
     """All maps X -> Y with values drawn from candidates(n, x), commuting
-    with faces; degenerate values are forced by lower degrees."""
-    degsrc = X.degeneracy_source()
+    with faces; degenerate values are forced by lower degrees, through the
+    first (j, parent) in X's own order with s_j parent the simplex."""
+    degsrc = {}
+    for n in range(X.d):
+        for x in X.simp[n]:
+            for j, y in enumerate(X.degen[n][x]):
+                degsrc.setdefault((n + 1, y), (j, x))
     partials = [{}]
     for n in range(X.d + 1):
         for x in X.simp[n]:

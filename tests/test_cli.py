@@ -598,14 +598,25 @@ class TestDecompose:
         assert calls == []
 
     @pytest.mark.parametrize("payload", [
-        {"kind": "model", "distributions": []},
-        {"kind": "model", "distributions": {"m0.0": {"m0.0": "1"}}},
-        [{"kind": "model"}],
-    ], ids=["distributions-list", "key-without-degree", "top-level-list"])
+        lambda good: {"kind": "model", "distributions": []},
+        lambda good: {"kind": "model",
+                      "distributions": {"m0.0": {"m0.0": "1"}}},
+        lambda good: [{"kind": "model"}],
+        lambda good: {"kind": "model",
+                      "distributions": {"\u00b2:m0.0": {"m0.0": "1"}}},
+        lambda good: {**good, "distributions": {
+            **good["distributions"], "0" + min(good["distributions"]):
+            good["distributions"][min(good["distributions"])]}},
+    ], ids=["distributions-list", "key-without-degree", "top-level-list",
+            "superscript-degree", "one-simplex-twice"])
     def test_malformed_distribution_is_invalid_input(self, capsys, tmp_path,
                                                      payload):
-        spec, _ = self._fixture(tmp_path)
-        bad = write(tmp_path, "bad.json", payload)
+        """The last two are a degree that str.isdigit accepts and int
+        rejects, and a valid distribution with one of its keys repeated as
+        "0<degree>:<simplex>" with the same weights."""
+        spec, model = self._fixture(tmp_path)
+        bad = write(tmp_path, "bad.json",
+                    payload(json.loads(open(model).read())))
         assert main(["decompose", "--scenario", spec, "--model", bad]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1

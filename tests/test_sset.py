@@ -48,6 +48,11 @@ def tables(X):
     return X.simp, X.face, X.degen, X.payload
 
 
+def degenerate(X, n):
+    """The degree-n simplices of X that are some s_j of degree n - 1."""
+    return {z for s in X.degen[n - 1].values() for z in s} if n else set()
+
+
 def point_bundle(fiber, base="u"):
     total = SimplicialComplex([{v} for v in fiber])
     return BundleScenario(total, SimplicialComplex([{base}]),
@@ -141,8 +146,8 @@ class TestNerveSpace:
 
     def test_degenerates_marked(self):
         X = nerve_space(EDGE, 2)
-        assert X.is_degenerate(1, "()")
-        assert not X.is_degenerate(1, "(a,b)")
+        assert "()" in degenerate(X, 1)
+        assert "(a,b)" not in degenerate(X, 1)
 
     def test_nerve_bundle_is_simplicial(self):
         bnd = elements(event_presheaf(standard([["a1", "b1"], ["b1", "c1"]])))
@@ -355,7 +360,8 @@ class TestMapEnumeration:
 
         assert len(sset.enumerate_sset_maps(X, fm.source, candidates)) == 8
         cells = [(n, x) for n in range(X.d + 1) for x in X.simp[n]]
-        nondegenerate = [c for c in cells if not X.is_degenerate(*c)]
+        nondegenerate = [(n, x) for n, x in cells
+                         if x not in degenerate(X, n)]
         assert len(nondegenerate) < len(cells)
         assert asked == Counter(nondegenerate)
 
@@ -482,24 +488,23 @@ def small_mappings():
 
 
 class TestMappingSpaceLookups:
-    def test_each_pullback_is_built_once(self, monkeypatch):
+    def test_no_pullback_is_built(self, monkeypatch):
+        """Map(f, g) is built from its cells: no pullback along a simplex
+        and no standard simplex is tabulated."""
         nf = nerve_bundle(point_bundle(["a1", "a2"], "u"), 2)
         ng = nerve_bundle(BundleScenario(EDGE, EDGE, {"a": "a", "b": "b"}), 2)
         built = Counter()
-        real = sset.pullback_along_simplex
 
-        def counting(fmap, n, x, d):
-            built[("src" if fmap is nf else "dst", n, x)] += 1
-            return real(fmap, n, x, d)
+        def counting(name):
+            return lambda *args: built.update([name])
 
-        def no_standard_simplex(n, d):
-            built["standard_simplex"] += 1
-
-        monkeypatch.setattr(sset, "pullback_along_simplex", counting)
-        monkeypatch.setattr(sset, "standard_simplex", no_standard_simplex)
-        mapping_simplicial(nf, ng, d=2)
-        assert {key[0] for key in built} == {"src"}
-        assert max(built.values()) == 1
+        monkeypatch.setattr(sset, "pullback_along_simplex",
+                            counting("pullback_along_simplex"))
+        monkeypatch.setattr(sset, "standard_simplex",
+                            counting("standard_simplex"))
+        ms = mapping_simplicial(nf, ng, d=2)
+        assert [len(ms.sset.simp[n]) for n in range(3)] == [1, 8, 64]
+        assert built == Counter()
 
     def test_simplex_id_finds_each_simplex_from_its_own_map(
             self, small_mappings):
@@ -577,11 +582,38 @@ class TestMappingFromBoundaries:
         assert mapping_tables(ms) == \
             mapping_tables(mapping_simplicial_by_search(nf, ng, d=3))
 
+    @pytest.mark.parametrize("case", SMALL_MAPPINGS + ["decompose-d3"])
+    def test_cells_and_searched_tables_match_pullbacks(self, small_mappings,
+                                                       case):
+        """cells(n, x) lists the cells and payload of the pullback of f
+        along x, by id within each degree; searched(n, x) lists its cells
+        with phi surjective and gives their faces and degeneracies as that
+        pullback tabulates them."""
+        ms = small_mappings.get(case) or sset.MappingSpace(
+            *(nerve_bundle(b, 3) for b in DECOMPOSE_PAIR), 3)
+        for n in range(ms.d + 1):
+            for x in ms.f.target.simp[n]:
+                P = pullback_along_simplex(ms.f, n, x, ms.d)
+                cells = ms.cells(n, x)[0]
+                assert cells == tuple((m, pid) + P.payload[(m, pid)]
+                                      for m in range(ms.d + 1)
+                                      for pid in sorted(P.simp[m]))
+                at = {(m, pid): k for k, (m, pid, _, _) in enumerate(cells)}
+                todo, face, degen = ms.searched(n, x)
+                assert todo == [(m, at[(m, pid)]) for m, pid, phi, _ in cells
+                                if set(phi) == set(range(n + 1))]
+                for table, shift, want in ((face, -1, P.face),
+                                           (degen, 1, P.degen)):
+                    assert table == {m: {
+                        k: tuple([at[(m + shift, q)]
+                                  for q in want[m][cells[k][1]]])
+                        for mk, k in todo if mk == m} for m in want}
+
     def test_decompose_bundle_sizes_at_d3(self):
         nf, ng = (nerve_bundle(b, 3) for b in DECOMPOSE_PAIR)
         S = mapping_simplicial(nf, ng, d=3).sset
         assert [len(S.simp[n]) for n in range(4)] == [1, 8, 38, 158]
-        assert [sum(not S.is_degenerate(n, s) for s in S.simp[n])
+        assert [len(set(S.simp[n]) - degenerate(S, n))
                 for n in range(4)] == [1, 7, 23, 67]
 
     def test_cap_errors_match_oracle(self):
