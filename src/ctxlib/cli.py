@@ -113,6 +113,9 @@ def sset_map_json(fmap):
 def cmd_validate(args):
     obj = _load(args.input)
     kind = obj.get("kind")
+    if (kind == "model") != (args.scenario is not None):
+        raise DomainError("validate takes --scenario exactly when the "
+                          "input is a model")
     if kind == "bundle":
         from .bundles import BundleScenario, validate_bundle
         report = validate_bundle(BundleScenario.from_json(obj))
@@ -121,8 +124,6 @@ def cmd_validate(args):
         report = validate_event_scenario(load_scenario(args.input))
     elif kind == "model":
         from .solve import validate_empirical
-        if args.scenario is None:
-            raise DomainError("validating a model needs --scenario")
         scn = load_scenario(args.scenario)
         model = load_model(args.input, scn)
         report = validate_empirical(scn, model.dists)
@@ -138,6 +139,8 @@ def cmd_validate(args):
 
 
 def cmd_convert(args):
+    if args.witness and args.to == "event":
+        raise DomainError("convert reads --witness only with --to bundle")
     from .complexes import skey
     from .events import element_simplex, elements, validate_event_scenario
     scn = load_scenario(args.input)
@@ -196,6 +199,8 @@ def cmd_nerve(args):
 
 
 def cmd_map(args):
+    if args.truncate is not None and args.kind != "simplicial":
+        raise DomainError("map reads --truncate only with --kind simplicial")
     if args.kind == "event":
         from .events import mapping_event_scenario
         f = load_scenario(args.inputs[0])
@@ -284,7 +289,7 @@ def cmd_decompose(args):
         raise DomainError("decompose expects a mapping-bundles file")
     bf = BundleScenario.from_json(spec["f"])
     bg = BundleScenario.from_json(spec["g"])
-    d = spec.get("d", args.truncate)
+    d = spec.get("d")
     if d is not None and type(d) is not int:
         raise DomainError("d must be an integer")
     sd = load_simplicial_distribution(args.model)
@@ -406,7 +411,7 @@ def build_parser():
     p = sub.add_parser("decompose")
     p.add_argument("--scenario", required=True)
     p.add_argument("--model", required=True)
-    common(p, cap=True, truncate=True)
+    common(p, cap=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("laws")

@@ -203,18 +203,17 @@ class ComplexMap:
 
     __slots__ = ("source", "target", "vertex_map")
 
-    def __init__(self, source, target, vertex_map, check=True):
+    def __init__(self, source, target, vertex_map):
         self.source = source
         self.target = target
         self.vertex_map = dict(vertex_map)
-        if check:
-            missing = set(source.vertices) - set(self.vertex_map)
-            if missing:
-                raise DomainError("map not total, missing %s" % sorted(missing))
-            for m in source.maximal:
-                if self.image(m) not in target:
-                    raise DomainError(
-                        "image of %s is not a simplex of the target" % skey(m))
+        missing = set(source.vertices) - set(self.vertex_map)
+        if missing:
+            raise DomainError("map not total, missing %s" % sorted(missing))
+        for m in source.maximal:
+            if self.image(m) not in target:
+                raise DomainError(
+                    "image of %s is not a simplex of the target" % skey(m))
 
     def __call__(self, x):
         return self.vertex_map[x]
@@ -228,7 +227,7 @@ class ComplexMap:
             raise CompositionError("complex maps do not compose")
         return ComplexMap(other.source, self.target,
                           {x: self.vertex_map[other.vertex_map[x]]
-                           for x in other.source.vertices}, check=False)
+                           for x in other.source.vertices})
 
     def __eq__(self, other):
         return (isinstance(other, ComplexMap)
@@ -247,14 +246,13 @@ def nerve_of_map(h):
     src = nerve_complex(h.source)
     tgt = nerve_complex(h.target)
     vm = {v: nerve_name(h.image(nerve_unname(v))) for v in src.vertices}
-    return ComplexMap(src, tgt, vm, check=False)
+    return ComplexMap(src, tgt, vm)
 
 
 def unit_map(cpx):
     """The monad unit as a complex map into the nerve: x to [x]."""
     return ComplexMap(cpx, nerve_complex(cpx),
-                      {x: nerve_name(frozenset([x])) for x in cpx.vertices},
-                      check=False)
+                      {x: nerve_name(frozenset([x])) for x in cpx.vertices})
 
 
 def mult_map(cpx):
@@ -269,7 +267,7 @@ def mult_map(cpx):
         for member in family:
             union |= nerve_unname(member)
         vm[v] = nerve_name(union)
-    return ComplexMap(n2, n1, vm, check=False)
+    return ComplexMap(n2, n1, vm)
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +280,18 @@ class SimplicialRelation:
 
     __slots__ = ("source", "target", "vertex_map")
 
-    def __init__(self, source, target, vertex_map, check=True):
+    def __init__(self, source, target, vertex_map):
         self.source = source
         self.target = target
         self.vertex_map = {x: frozenset(s) for x, s in vertex_map.items()}
-        if check:
-            missing = set(source.vertices) - set(self.vertex_map)
-            if missing:
+        missing = set(source.vertices) - set(self.vertex_map)
+        if missing:
+            raise DomainError(
+                "relation not total, missing %s" % sorted(missing))
+        for m in source.maximal:
+            if self.induced(m) not in target:
                 raise DomainError(
-                    "relation not total, missing %s" % sorted(missing))
-            for m in source.maximal:
-                if self.induced(m) not in target:
-                    raise DomainError(
-                        "union over %s is not a simplex of the target"
-                        % skey(m))
+                    "union over %s is not a simplex of the target" % skey(m))
 
     def __call__(self, x):
         return self.vertex_map[x]
@@ -334,8 +330,7 @@ class SimplicialRelation:
 def identity_relation(cpx):
     """The Kleisli identity: x to {x}."""
     return SimplicialRelation(cpx, cpx,
-                              {x: frozenset([x]) for x in cpx.vertices},
-                              check=False)
+                              {x: frozenset([x]) for x in cpx.vertices})
 
 
 def kleisli_compose(rel1, rel2):
@@ -398,4 +393,4 @@ def tensor_comparison_map(cpx1, cpx2):
     for v in src.vertices:
         a, b = unpair_name(v)
         vm[v] = nerve_name(pair_simplex(nerve_unname(a), nerve_unname(b)))
-    return ComplexMap(src, tgt, vm, check=False)
+    return ComplexMap(src, tgt, vm)

@@ -229,13 +229,19 @@ def product_outcome(components):
 
 
 def event_presheaf(standard):
-    """F(sigma) = product of the vertex outcome sets, with projections."""
+    """F(sigma) = product of the vertex outcome sets, with projections; two
+    outcome tuples that product_outcome names alike are a DomainError."""
     base = standard.base
     sets, tables = {}, {}
     for sigma in base.simplices():
         verts = sorted(sigma)
         combos = list(product(*[standard.outcomes[x] for x in verts]))
-        sets[sigma] = tuple(map(product_outcome, combos))
+        sets[sigma] = names = tuple(map(product_outcome, combos))
+        owner = dict(zip(names, combos))
+        if len(owner) < len(set(combos)):
+            shared = next(n for n, c in zip(names, combos) if owner[n] != c)
+            raise DomainError("two outcome tuples at %s share the name %r"
+                              % (skey(sigma), shared))
         for tau in _codim1_faces(sigma):
             idx = [verts.index(x) for x in sorted(tau)]
             tables[(sigma, tau)] = {
@@ -268,25 +274,24 @@ class EventMorphism:
 
     __slots__ = ("source", "target", "relation", "components")
 
-    def __init__(self, source, target, relation, components, check=True):
+    def __init__(self, source, target, relation, components):
         self.source = source        # F over Sigma
         self.target = target        # G over Sigma'
         self.relation = relation    # Sigma' -> Sigma
         self.components = {frozenset(s): dict(m) for s, m in components.items()}
-        if check:
-            if relation.source != target.base or relation.target != source.base:
-                raise DomainError("relation does not match the scenario bases")
-            for sigma in target.base.simplices():
-                comp = self.components.get(sigma)
-                if comp is None:
-                    raise DomainError("missing component at %s" % skey(sigma))
-                u = relation.induced(sigma)
-                gset = set(target.sets[sigma])
-                for s in source.sets[u]:
-                    if comp.get(s) not in gset:
-                        raise DomainError(
-                            "component at %s is not a map F(%s) -> G(%s)"
-                            % (skey(sigma), skey(u), skey(sigma)))
+        if relation.source != target.base or relation.target != source.base:
+            raise DomainError("relation does not match the scenario bases")
+        for sigma in target.base.simplices():
+            comp = self.components.get(sigma)
+            if comp is None:
+                raise DomainError("missing component at %s" % skey(sigma))
+            u = relation.induced(sigma)
+            gset = set(target.sets[sigma])
+            for s in source.sets[u]:
+                if comp.get(s) not in gset:
+                    raise DomainError(
+                        "component at %s is not a map F(%s) -> G(%s)"
+                        % (skey(sigma), skey(u), skey(sigma)))
 
     def component(self, sigma):
         return self.components[frozenset(sigma)]
@@ -312,8 +317,7 @@ def validate_event_morphism(mor):
 def identity_event_morphism(scn):
     comps = {sigma: {s: s for s in scn.sets[sigma]}
              for sigma in scn.base.simplices()}
-    return EventMorphism(scn, scn, identity_relation(scn.base), comps,
-                         check=False)
+    return EventMorphism(scn, scn, identity_relation(scn.base), comps)
 
 
 def compose_event_morphisms(m1, m2):
@@ -380,18 +384,10 @@ class GlobalSection:
         return ";".join("%s=%s" % (x, self.assignment[x])
                         for x in sorted(self.assignment))
 
-    def __eq__(self, other):
-        return isinstance(other, GlobalSection) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "GlobalSection(%s)" % self.key()
-
 
 def global_sections(scn, cap=10 ** 6):
-    """All vertex assignments lifting at every maximal simplex, by key.
+    """All vertex assignments lifting at every maximal simplex, by key; two
+    sections with one key are a DomainError.
 
     A breadth-first join: all partial sections have fixed the same vertices,
     and each is extended only by the outcomes of the next maximal simplex
@@ -421,8 +417,11 @@ def global_sections(scn, cap=10 ** 6):
     out = [GlobalSection(zip(pos, values),
                          dict(zip(scn.base.maximal, chosen)), scn)
            for values, chosen in partials]
-    out.sort(key=lambda s: s.key())
-    return out
+    bykey = {s.key(): s for s in out}
+    if len(bykey) < len(out):
+        shared = next(s.key() for s in out if bykey[s.key()] is not s)
+        raise DomainError("two global sections share the key %r" % shared)
+    return [bykey[k] for k in sorted(bykey)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +500,6 @@ class MappingElement:
             tags, name = _namer(self.pi, dom)
             self._key = name(map(add, tags, map(self.alpha.get, dom)))
         return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, MappingElement) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 class _Registry(Mapping):

@@ -24,11 +24,12 @@ def rand_dist(r, items, denom=12):
                  for x, w in zip(items, weights) if w])
 
 
-def rand_subset(r, items, nonempty=True):
+def rand_subset(r, items):
+    """Each item in with probability 1/2, drawn again while empty."""
     items = list(items)
     while True:
         picked = [x for x in items if r.random() < 0.5]
-        if picked or not nonempty:
+        if picked:
             return frozenset(picked)
 
 
@@ -46,19 +47,20 @@ def rand_complex(r, max_vertices=6, max_simplices=3):
     return SimplicialComplex(maxs)
 
 
-def rand_relation_into(r, tgt, max_groups=3, max_group_size=3):
+def rand_relation_into(r, tgt):
     """A random relation from a fresh complex into tgt.
 
-    Each group of fresh vertices maps into subsets of one maximal simplex of
-    tgt, so unions over source simplices always land in tgt.
+    Each of one to three groups of one to three fresh vertices maps into
+    subsets of one maximal simplex of tgt, so unions over source simplices
+    always land in tgt.
     """
     maxs = []
     vmap = {}
     counter = 0
-    for _ in range(r.randint(1, max_groups)):
+    for _ in range(r.randint(1, 3)):
         m = r.choice(tgt.maximal)
         group = []
-        for _ in range(r.randint(1, max_group_size)):
+        for _ in range(r.randint(1, 3)):
             name = "w%d" % counter
             counter += 1
             vmap[name] = rand_subset(r, m)
@@ -112,16 +114,17 @@ def rand_lift(r, target, fibers):
     return Dist(out)
 
 
-def rand_path_model(r, scn, order, denom=8):
+def rand_path_model(r, scn, order):
     """A random compatible model on a path scenario, built as a Markov chain
-    along the listed vertices (so compatibility holds by construction)."""
+    along the listed vertices (so compatibility holds by construction), with
+    weights in eighths at each step."""
     # order: vertex names along the path; contexts are consecutive pairs
     start = order[0]
     outcome_sets = {x: list(scn.sets[frozenset([x])]) for x in order}
-    marg = rand_dist(r, outcome_sets[start], denom)
+    marg = rand_dist(r, outcome_sets[start], 8)
     dists = {}
     for a, b in zip(order, order[1:]):
-        cond = {o: rand_dist(r, outcome_sets[b], denom)
+        cond = {o: rand_dist(r, outcome_sets[b], 8)
                 for o in outcome_sets[a]}
         pair = frozenset([a, b])
         joint = []

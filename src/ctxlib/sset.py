@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, product
 from math import prod
 
 from .complexes import nonempty_subsets, pair_name, skey
-from .dist import Dist, delta, mixture, product_dist, pushforward
+from .dist import delta, mixture, product_dist, pushforward
 from .errors import CompositionError, DomainError, ResourceLimitError
 
 

@@ -15,7 +15,7 @@ from ctxlib.sset import (mapping_simplicial, nerve_bundle, sections,
                          theta_simplicial)
 from ctxlib.bundles import BundleScenario
 from ctxlib.complexes import SimplicialComplex
-from ctxlib.events import event_presheaf
+from ctxlib.events import StandardScenario, elements, event_presheaf
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -529,34 +529,37 @@ class TestPush:
             assert json.loads(lines[0])["error"] == "invalid-input"
 
 
+def mapping_pair(tmp_path):
+    """A mapping-bundles file with "d": 1 for two point bundles of two
+    fibers each, and a noncontextual distribution on its mapping space."""
+    def point_bundle(fibers, base_vertex):
+        return BundleScenario(
+            SimplicialComplex([{v} for v in fibers]),
+            SimplicialComplex([{base_vertex}]),
+            {v: base_vertex for v in fibers})
+
+    bf = point_bundle(["a1", "a2"], "u")
+    bg = point_bundle(["b1", "b2"], "s")
+    spec = write(tmp_path, "mapfg.json",
+                 {"kind": "mapping-bundles", "f": bf.to_json(),
+                  "g": bg.to_json(), "d": 1})
+    ms = mapping_simplicial(nerve_bundle(bf, 1), nerve_bundle(bg, 1),
+                            d=1)
+    secs = sections(ms.proj)
+    r = make_rng(3)
+    sd = theta_simplicial(ms.proj, secs,
+                          rand_dist(r, [s.key() for s in secs]))
+    dist = {"kind": "model",
+            "distributions": {"%d:%s" % (n, x): {
+                e: str(w) for e, w in sd[(n, x)].items()}
+                for (n, x) in sd.table}}
+    model = write(tmp_path, "sd.json", dist)
+    return spec, model
+
+
 class TestDecompose:
-    def _fixture(self, tmp_path):
-        def point_bundle(fibers, base_vertex):
-            return BundleScenario(
-                SimplicialComplex([{v} for v in fibers]),
-                SimplicialComplex([{base_vertex}]),
-                {v: base_vertex for v in fibers})
-
-        bf = point_bundle(["a1", "a2"], "u")
-        bg = point_bundle(["b1", "b2"], "s")
-        spec = write(tmp_path, "mapfg.json",
-                     {"kind": "mapping-bundles", "f": bf.to_json(),
-                      "g": bg.to_json(), "d": 1})
-        ms = mapping_simplicial(nerve_bundle(bf, 1), nerve_bundle(bg, 1),
-                                d=1)
-        secs = sections(ms.proj)
-        r = make_rng(3)
-        sd = theta_simplicial(ms.proj, secs,
-                              rand_dist(r, [s.key() for s in secs]))
-        dist = {"kind": "model",
-                "distributions": {"%d:%s" % (n, x): {
-                    e: str(w) for e, w in sd[(n, x)].items()}
-                    for (n, x) in sd.table}}
-        model = write(tmp_path, "sd.json", dist)
-        return spec, model
-
     def test_noncontextual_decomposition(self, capsys, tmp_path):
-        spec, model = self._fixture(tmp_path)
+        spec, model = mapping_pair(tmp_path)
         code, out = run(capsys, ["decompose", "--scenario", spec,
                                  "--model", model])
         assert code == 0
@@ -566,7 +569,7 @@ class TestDecompose:
 
     def test_malformed_mapping_bundles_is_invalid_input(self, capsys,
                                                         tmp_path):
-        spec, model = self._fixture(tmp_path)
+        spec, model = mapping_pair(tmp_path)
         good = json.loads(open(spec).read())
         for field, value in (("f", []), ("d", "1"), ("d", 1.5)):
             bad = write(tmp_path, "bad.json", {**good, field: value})
@@ -582,7 +585,7 @@ class TestDecompose:
         and building the mapping space first took seconds.
         mapping_simplicial constructs its MappingSpace before any other
         work, so none may be constructed."""
-        spec, model = self._fixture(tmp_path)
+        spec, model = mapping_pair(tmp_path)
         deep = write(tmp_path, "deep.json",
                      {**json.loads(open(spec).read()), "d": 4})
         calls = []
@@ -614,13 +617,68 @@ class TestDecompose:
         """The last two are a degree that str.isdigit accepts and int
         rejects, and a valid distribution with one of its keys repeated as
         "0<degree>:<simplex>" with the same weights."""
-        spec, model = self._fixture(tmp_path)
+        spec, model = mapping_pair(tmp_path)
         bad = write(tmp_path, "bad.json",
                     payload(json.loads(open(model).read())))
         assert main(["decompose", "--scenario", spec, "--model", bad]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "invalid-input"
+
+
+class TestUnreadFlagsAndSharedNames:
+    """A flag the verb would not read, and names that two outcomes or two
+    global sections would share, exit 1 before any output."""
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["decompose", "--scenario", "SPEC", "--model", "SD",
+          "--truncate", "3"], "--truncate"),
+        (["map", "--kind", "event", "F", "G", "--truncate", "1"],
+         "--truncate"),
+        (["map", "--kind", "bundle", "BF", "BG", "--truncate", "1"],
+         "--truncate"),
+        (["validate", "F", "--scenario", "MISSING"], "--scenario"),
+        (["convert", "F", "--to", "event", "--witness"], "--witness"),
+        (["check", "--scenario", "KEYS", "--model", "KEYS_MODEL"],
+         "'a=1;b=2;b=x'"),
+        (["check", "--scenario", "NAMES", "--model", "NAMES_MODEL"],
+         "'1,2,3'"),
+    ], ids=["decompose-truncate", "map-event-truncate", "map-bundle-truncate",
+            "validate-scenario-of-a-scenario", "convert-witness-to-event",
+            "shared-section-key", "merged-outcome-name"])
+    def test_is_invalid_input(self, capsys, tmp_path, argv, detail):
+        """The last two scenarios are one edge a-b.  Sections a=1, b=2;b=x
+        and a=1;b=2, b=x print as one key; outcomes (1,2; 3) and (1; 2,3)
+        print as one name."""
+        f, g = standard([["a"]]), standard([["u", "v"]])
+        spec, model = mapping_pair(tmp_path)
+        files = {
+            "SPEC": spec, "SD": model,
+            "F": write(tmp_path, "f.json", f.to_json()),
+            "G": write(tmp_path, "g.json", g.to_json()),
+            "BF": write(tmp_path, "bf.json",
+                        elements(event_presheaf(f)).to_json()),
+            "BG": write(tmp_path, "bg.json",
+                        elements(event_presheaf(g)).to_json()),
+            "MISSING": str(tmp_path / "missing.json"),
+            "KEYS": write(tmp_path, "keys.json", StandardScenario(
+                [["a", "b"]], {"a": ["1;b=2", "1"],
+                               "b": ["x", "2;b=x"]}).to_json()),
+            "KEYS_MODEL": write(tmp_path, "keys_model.json", {
+                "kind": "model", "distributions": {
+                    "a,b": {"1;b=2,x": "1/2", "1,2;b=x": "1/2"}}}),
+            "NAMES": write(tmp_path, "names.json", StandardScenario(
+                [["a", "b"]], {"a": ["1,2", "1"],
+                               "b": ["3", "2,3"]}).to_json()),
+            "NAMES_MODEL": write(tmp_path, "names_model.json", {
+                "kind": "model", "distributions": {"a,b": {"1,2,3": "1"}}})}
+        assert main([files.get(a, a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid-input"
+        assert detail in error["detail"]
 
 
 class TestLaws:

@@ -42,10 +42,27 @@ def unresolved_globals(path):
             and not hasattr(builtins, sym.get_name())}
 
 
+def unused_imports(path):
+    """The names a module imports at its top level that no scope of it
+    references as a global."""
+    top = symtable.symtable(path.read_text(), str(path), "exec")
+    used = {sym.get_name() for scope in (top, *scopes(top))
+            for sym in scope.get_symbols()
+            if sym.is_referenced() and (scope is top or sym.is_global())}
+    return {sym.get_name() for sym in top.get_symbols()
+            if sym.is_imported() and sym.get_name() not in used}
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda path: path.name)
 def test_every_global_name_resolves(path):
     assert unresolved_globals(path) == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path) == set()
 
 
 def test_missed_import_is_flagged(tmp_path):
