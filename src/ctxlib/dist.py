@@ -76,10 +76,19 @@ class Dist:
         total = sum(acc.values(), ZERO)
         if total != 1:
             raise DomainError("weights sum to %s, not 1" % total)
-        self._index = {x: w for x, w in acc.items() if w > 0}
-        self._items = tuple(sorted(self._index.items(),
+        self._set({x: w for x, w in acc.items() if w > 0})
+
+    @classmethod
+    def _of(cls, index):
+        """The Dist of index, positive Fractions summing to 1, unchecked."""
+        p = cls.__new__(cls)
+        p._set(index)
+        return p
+
+    def _set(self, index):
+        self._index, self._canon = index, None
+        self._items = tuple(sorted(index.items(),
                                    key=lambda item: element_key(item[0])))
-        self._canon = None
 
     def items(self):
         return self._items
@@ -120,8 +129,12 @@ def delta(x):
 
 
 def pushforward(f, p):
-    """The functor D on maps: add weights over each fiber."""
-    return Dist([(f(x), w) for x, w in p.items()])
+    """The functor D on maps: add weights over each fiber, unchecked."""
+    acc = {}
+    for x, w in p.items():
+        y = f(x)
+        acc[y] = acc.get(y, ZERO) + w
+    return Dist._of(acc)
 
 
 def flatten(big):

@@ -228,6 +228,15 @@ def product_outcome(components):
     return ",".join(components)
 
 
+def _distinct_names(sigma, names, combos, what):
+    """Raise when two of the distinct combos at sigma have one name."""
+    owner = dict(zip(names, combos))
+    if len(owner) < len(set(combos)):
+        shared = next(n for n, c in zip(names, combos) if owner[n] != c)
+        raise DomainError("two outcome %s at %s share the name %r"
+                          % (what, skey(sigma), shared))
+
+
 def event_presheaf(standard):
     """F(sigma) = product of the vertex outcome sets, with projections; two
     outcome tuples that product_outcome names alike are a DomainError."""
@@ -237,11 +246,7 @@ def event_presheaf(standard):
         verts = sorted(sigma)
         combos = list(product(*[standard.outcomes[x] for x in verts]))
         sets[sigma] = names = tuple(map(product_outcome, combos))
-        owner = dict(zip(names, combos))
-        if len(owner) < len(set(combos)):
-            shared = next(n for n, c in zip(names, combos) if owner[n] != c)
-            raise DomainError("two outcome tuples at %s share the name %r"
-                              % (skey(sigma), shared))
+        _distinct_names(sigma, names, combos, "tuples")
         for tau in _codim1_faces(sigma):
             idx = [verts.index(x) for x in sorted(tau)]
             tables[(sigma, tau)] = {
@@ -340,13 +345,16 @@ def compose_event_morphisms(m1, m2):
 
 
 def tensor_event(f1, f2):
+    """F1 (x) F2, with outcome pairs named pair_name(a, b); two pairs that it
+    names alike are a DomainError."""
     base = tensor_complex(f1.base, f2.base)
     parts = {sigma: (project_simplex(sigma, 0), project_simplex(sigma, 1))
              for sigma in base.simplices()}
     sets, tables = {}, {}
     for sigma, (p1, p2) in parts.items():
         pairs = list(product(f1.sets[p1], f2.sets[p2]))
-        sets[sigma] = tuple(pair_name(a, b) for a, b in pairs)
+        sets[sigma] = names = tuple(pair_name(a, b) for a, b in pairs)
+        _distinct_names(sigma, names, pairs, "pairs")
         for tau in _codim1_faces(sigma):
             r1 = f1.restriction_map(p1, parts[tau][0])
             r2 = f2.restriction_map(p2, parts[tau][1])

@@ -2,10 +2,10 @@
 
 Feasibility of the noncontextuality polytope is decided by a revised phase-1
 simplex method over sparse rows, with Dantzig's entering rule and Bland's as
-a fallback against cycling.  Each tableau row keeps only its block (its m
-entries over the artificial columns) and right-hand side, as integers over
-one positive denominator.  Infeasible systems come with a Farkas certificate
-that third parties can re-verify without running the solver.
+a fallback against cycling.  Each tableau row keeps only the nonzeros of its
+block (its row of the basis inverse) and its right-hand side, as integers
+over one positive denominator.  Infeasible systems come with a Farkas
+certificate that third parties can re-verify without running the solver.
 """
 
 from fractions import Fraction
@@ -75,14 +75,18 @@ def lp_feasible(prob):
     Returns ("feasible", x) or ("infeasible", y) where y is a Farkas
     certificate: yA <= 0 on every column and y.b > 0.
 
-    Revised simplex: tableau row i keeps only its block, its entries over
-    the artificial columns, and its right-hand side, as m + 1 ints rows[i]
-    over dens[i] > 0.  Its entry in column j of A is sum_k rows[i][k] C[k][j]
-    over dens[i] L, where C = L sign A is integral; the objective row keeps
-    these n entries too, over oden L.  gcd reductions rescale a row by a
-    positive factor, so the pivots are the full tableau's.  The entering
-    column has the largest objective entry, or the first positive one after
-    _BLAND_AFTER degenerate pivots in a row.
+    Revised simplex: tableau row i keeps its block, its entries over the
+    artificial columns, as a dict rows[i] {k: int} of nonzeros, and its
+    right-hand side rhs[i], over dens[i] > 0; where[k] is the set of rows
+    nonzero in block column k.  Row i's entry in column j of A is
+    sum_k rows[i][k] C[k][j] over dens[i] L, where C = L sign A is integral,
+    so the entering column sums over where[k] for its nonzero rows k of A.
+    A pivot updates only the rows that column touches, at the pivot row's
+    keys (scaling the row first unless the pivot is 1).  The objective row
+    is dense, over oden L on the columns of A.  gcd reductions rescale a row
+    by a positive factor, so the pivots are the full tableau's.  The
+    entering column has the largest objective entry, or the first positive
+    one after _BLAND_AFTER degenerate pivots in a row.
     """
     m, n = len(prob.b), prob.ncols
     if m == 0:
@@ -97,11 +101,12 @@ def lp_feasible(prob):
             colrows[j].append(k)
             colvals[j].append(c)
     dens = [v.denominator for v in prob.b]
-    rows = [[0] * k + [v.denominator] + [0] * (m - k - 1) + [s * v.numerator]
-            for k, (s, v) in enumerate(zip(sign, prob.b))]
+    rhs = [s * v.numerator for s, v in zip(sign, prob.b)]
+    rows = [{k: d} for k, d in enumerate(dens)]
+    where = [{k} for k in range(m)]
     oden = lcm(*dens)
     obj = [oden * sum(cs) for cs in colvals] + [oden] * m + \
-        [sum(r[-1] * (oden // d) for r, d in zip(rows, dens))]
+        [sum(r * (oden // d) for r, d in zip(rhs, dens))]
     obj, oden = _reduced(obj, oden)
     basis, stalled = list(range(n, n + m)), 0
     while True:
@@ -110,42 +115,60 @@ def lp_feasible(prob):
             break
         enter = obj.index(top) if stalled < _BLAND_AFTER else \
             next(j for j, v in enumerate(obj) if v > 0)
-        ks, cs = colrows[enter], colvals[enter]
-        col = [sum(row[k] * c for k, c in zip(ks, cs)) for row in rows]
+        col = {}
+        for k, c in zip(colrows[enter], colvals[enter]):
+            for i in where[k]:
+                col[i] = col.get(i, 0) + rows[i][k] * c
         # minimum ratio rhs/coef over positive coef (the row denominator
         # cancels), compared by cross-multiplying; ties go to the smallest
-        # basis index
+        # basis index, so the order of col does not matter
         leave = None
-        for i, coef in enumerate(col):
-            if coef > 0:
-                if leave is None:
-                    leave, best_rhs, best_coef = i, rows[i][-1], coef
-                    continue
-                lhs, rhs = rows[i][-1] * best_coef, best_rhs * coef
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_rhs, best_coef = i, rows[i][-1], coef
+        for i, coef in col.items():
+            if coef > 0 and (leave is None or (rhs[i] * piv, basis[i]) <
+                             (rhs[leave] * coef, basis[leave])):
+                leave, piv = i, coef
         if leave is None:
             # the phase-1 objective is bounded below by zero, so an
             # unbounded entering column cannot happen; guard anyway
             raise DomainError("phase-1 simplex detected an unbounded ray")
-        stalled = stalled + 1 if best_rhs == 0 else 0
-        prow, piv = rows[leave], col[leave]
-        for i, coef in enumerate(col):
+        prow, prhs = rows[leave], rhs[leave]
+        stalled = stalled + 1 if prhs == 0 else 0
+        for i, coef in col.items():
             if coef and i != leave:
-                rows[i], dens[i] = _reduced(
-                    [piv * a - coef * p for a, p in zip(rows[i], prow)],
-                    dens[i] * piv)
-        # the pivot row's original entries, from the rows of A its block uses
-        full = [0] * n
-        for r, (support, _), cs in zip(prow, prob._rows, C):
-            if r:
-                for j, c in zip(support, cs):
-                    full[j] += r * c
+                row, den = rows[i], dens[i] * piv
+                r = rhs[i] * piv - coef * prhs
+                if piv != 1:
+                    rows[i] = row = {k: a * piv for k, a in row.items()}
+                for k, p in prow.items():
+                    a = row.get(k, 0) - coef * p
+                    if a:
+                        row[k] = a
+                        where[k].add(i)
+                    else:
+                        del row[k]
+                        where[k].remove(i)
+                g = gcd(den, r, *row.values())
+                if g != 1:
+                    r, den = r // g, den // g
+                    for k in row:
+                        row[k] //= g
+                rhs[i], dens[i] = r, den
+        # subtract coef times the pivot row's original entries, from the
+        # rows of A its block uses
         coef = obj[enter]
-        obj, oden = _reduced(
-            [piv * a - coef * p for a, p in zip(obj, full + prow)],
-            oden * piv)
-        rows[leave], dens[leave] = _reduced([scale * v for v in prow], piv)
+        if piv != 1:
+            obj = [piv * a for a in obj]
+        for k, r in prow.items():
+            r *= coef
+            obj[n + k] -= r
+            for j, c in zip(prob._rows[k][0], C[k]):
+                obj[j] -= r * c
+        obj[-1] -= coef * prhs
+        obj, oden = _reduced(obj, oden * piv)
+        g = gcd(piv, scale * prhs, *(scale * v for v in prow.values()))
+        for k in prow:
+            prow[k] = scale * prow[k] // g
+        rhs[leave], dens[leave] = scale * prhs // g, piv // g
         basis[leave] = enter
     if obj[-1] > 0:
         return "infeasible", [Fraction(sign[i] * obj[n + i], oden)
@@ -153,7 +176,7 @@ def lp_feasible(prob):
     x = [ZERO] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(rows[i][-1], dens[i])
+            x[j] = Fraction(rhs[i], dens[i])
     return "feasible", x
 
 
@@ -262,12 +285,12 @@ class EmpiricalModel:
 def validate_empirical(scn, dists):
     """Compatibility report on a model's complete dists (see EmpiricalModel):
     marginals of the context distributions must agree on every shared face.
-    Returns the derived face distributions."""
+    Returns the derived face distributions, dists' own at the maximals."""
     failures = []
-    derived = {}
+    derived = dict(dists)
     for sigma in scn.base.simplices():
         for m in scn.base.maximal:
-            if sigma <= m:
+            if sigma <= m and sigma not in dists:
                 res = scn.restriction_map(m, sigma)
                 q = pushforward(lambda s, _r=res: _r[s], dists[m])
                 if sigma in derived and derived[sigma] != q:

@@ -643,13 +643,16 @@ class TestUnreadFlagsAndSharedNames:
          "'a=1;b=2;b=x'"),
         (["check", "--scenario", "NAMES", "--model", "NAMES_MODEL"],
          "'1,2,3'"),
+        (["tensor", "PIPE_A", "PIPE_B"], "'(1|2|3)'"),
     ], ids=["decompose-truncate", "map-event-truncate", "map-bundle-truncate",
             "validate-scenario-of-a-scenario", "convert-witness-to-event",
-            "shared-section-key", "merged-outcome-name"])
+            "shared-section-key", "merged-outcome-name",
+            "merged-tensor-pair-name"])
     def test_is_invalid_input(self, capsys, tmp_path, argv, detail):
-        """The last two scenarios are one edge a-b.  Sections a=1, b=2;b=x
-        and a=1;b=2, b=x print as one key; outcomes (1,2; 3) and (1; 2,3)
-        print as one name."""
+        """KEYS and NAMES are one edge a-b.  Sections a=1, b=2;b=x and
+        a=1;b=2, b=x print as one key; outcomes (1,2; 3) and (1; 2,3) print
+        as one name.  PIPE_A and PIPE_B are one vertex each, and their
+        tensor names the pairs (1|2, 3) and (1, 2|3) alike."""
         f, g = standard([["a"]]), standard([["u", "v"]])
         spec, model = mapping_pair(tmp_path)
         files = {
@@ -671,7 +674,11 @@ class TestUnreadFlagsAndSharedNames:
                 [["a", "b"]], {"a": ["1,2", "1"],
                                "b": ["3", "2,3"]}).to_json()),
             "NAMES_MODEL": write(tmp_path, "names_model.json", {
-                "kind": "model", "distributions": {"a,b": {"1,2,3": "1"}}})}
+                "kind": "model", "distributions": {"a,b": {"1,2,3": "1"}}}),
+            "PIPE_A": write(tmp_path, "pipe_a.json", StandardScenario(
+                [["a"]], {"a": ["1|2", "1"]}).to_json()),
+            "PIPE_B": write(tmp_path, "pipe_b.json", StandardScenario(
+                [["b"]], {"b": ["3", "2|3"]}).to_json())}
         assert main([files.get(a, a) for a in argv]) == 1
         captured = capsys.readouterr()
         lines = captured.err.strip().splitlines()

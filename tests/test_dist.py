@@ -95,11 +95,48 @@ class TestBasics:
             Dist([("b", F(1, 2)), ("a", F(1, 2))])
 
 
+ATOMS = st.one_of(st.integers(0, 3), st.sampled_from(["0", "1", "a"]),
+                  st.tuples(st.integers(0, 1), st.sampled_from(["0", "1"])))
+
+
+@st.composite
+def dists_and_maps(draw):
+    """A Dist over mixed atoms (1 and "1" share a key) and a map that
+    merges them into a few images, also mixed."""
+    atoms = draw(st.lists(ATOMS, min_size=1, max_size=6, unique=True))
+    weights = [draw(st.integers(1, 6)) for _ in atoms]
+    p = Dist([(x, F(w, sum(weights))) for x, w in zip(atoms, weights)])
+    images = {x: draw(st.sampled_from([0, "0", 1, "1", (0, "1")]))
+              for x in atoms}
+    return p, images.__getitem__
+
+
+def serialized(p):
+    try:
+        return p.to_json()
+    except DomainError as err:
+        return str(err)
+
+
 class TestMonad:
     def test_pushforward_adds_fibers(self):
         p = Dist({"a": F(1, 3), "b": F(1, 3), "c": F(1, 3)})
         q = pushforward(lambda x: "z" if x != "c" else "w", p)
         assert q("z") == F(2, 3) and q("w") == F(1, 3)
+
+    @given(dists_and_maps())
+    @settings(max_examples=200)
+    def test_pushforward_matches_checked_constructor(self, case):
+        """The unchecked pushforward is the checked Dist of the image pairs:
+        same atoms in the same order, canonical form and JSON (or the same
+        refusal when two atoms share a serialized key)."""
+        p, f = case
+        q, old = pushforward(f, p), Dist([(f(x), w) for x, w in p.items()])
+        assert q == old and q.items() == old.items()
+        assert [type(x) for x in q.support()] == \
+            [type(x) for x in old.support()]
+        assert q.canonical() == old.canonical()
+        assert serialized(q) == serialized(old)
 
     def test_flatten_unit_laws(self):
         p = Dist({"a": F(1, 4), "b": F(3, 4)})

@@ -2,6 +2,8 @@
 machine-checkable evidence, transport to the simplicial setting, and the
 decomposition of noncontextual mapping-space distributions."""
 
+import inspect
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -118,6 +120,22 @@ def small_systems(draw):
     return LPProblem(A, b)
 
 
+def sparse_system(r):
+    """A sparse 0/1 system A x = b with up to 20 rows and 40 columns, r a
+    random.Random.  Half the time b = A x0 for a nonnegative x0 with zeros
+    and halves, else b is random with a few negative and fractional
+    entries."""
+    m, n = r.randint(1, 20), r.randint(1, 40)
+    density = r.choice((0.1, 0.2, 0.35))
+    A = [[int(r.random() < density) for _ in range(n)] for _ in range(m)]
+    if r.random() < 0.5:
+        x0 = [r.choice((0, 0, 0, 1, 2, F(1, 2))) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = [r.choice((0, 1, 1, 2, 3, -1, F(1, 3))) for _ in range(m)]
+    return LPProblem(A, b)
+
+
 def bell_scn(m):
     return event_presheaf(standard(
         [["a%d" % i, "b%d" % j] for i in range(m) for j in range(m)]))
@@ -202,6 +220,54 @@ class TestIntegerTableau:
                 assert verify_witness(prob, data)
             else:
                 assert trial % 2 and verify_certificate(prob, data)
+
+    @given(st.randoms(use_true_random=False).map(sparse_system),
+           st.sampled_from([50, 0, 1]))
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_systems_match_oracles(self, prob, bland_after):
+        """Larger sparse 0/1 systems, with the fallback rule at its default,
+        immediate and after one degenerate pivot."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solve, "_BLAND_AFTER", bland_after)
+            status, data = lp_feasible(prob)
+        assert (status, data) == lp_feasible_tableau(prob, bland_after) == \
+            lp_feasible_fraction(prob, bland_after)
+        if status == "feasible":
+            assert verify_witness(prob, data)
+        else:
+            assert verify_certificate(prob, data)
+
+    def test_sparse_systems_reach_every_row_update(self):
+        """On seeded sparse systems the row updates run with a unit and a
+        non-unit pivot, and some block entries cancel to zero (their keys
+        are deleted), as a line trace of lp_feasible shows."""
+        code = lp_feasible.__code__
+        lines = inspect.getsource(lp_feasible).splitlines()
+
+        def line_of(text):
+            return code.co_firstlineno + next(
+                i for i, line in enumerate(lines) if text in line)
+
+        branch, delete = line_of("if piv != 1:"), line_of("del row[k]")
+        seen = set()
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == branch:
+                seen.add(frame.f_locals["piv"] == 1)
+            elif event == "line" and frame.f_lineno == delete:
+                seen.add("cancel")
+            return local
+
+        r = make_rng(5)
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     local if frame.f_code is code else None)
+        try:
+            for _ in range(40):
+                lp_feasible(sparse_system(r))
+        finally:
+            sys.settrace(previous)
+        assert seen == {True, False, "cancel"}
 
     @pytest.mark.parametrize("m, v", [
         (2, 1), (3, 1), (4, 1), (2, F(1, 4)), (2, F(1, 2)), (2, F(3, 4)),
@@ -314,6 +380,17 @@ class TestEmpiricalModel:
             "b1,c1": {"0,0": "1/2", "1,0": "1/2"}})
         at_b = model.at({"b1"})
         assert at_b("0") == F(1, 2) and at_b("1") == F(1, 2)
+
+    def test_maximal_distributions_are_kept(self, path_scn):
+        """At a maximal simplex the derived distribution is the model's own
+        (the identity marginal is not rebuilt)."""
+        r = make_rng(3)
+        for _ in range(5):
+            dists = rand_path_model(r, path_scn, ["a1", "b1", "c1"])
+            derived = validate_empirical(path_scn, dists)["derived"]
+            assert all(derived[m] is dists[m]
+                       for m in path_scn.base.maximal)
+            assert set(derived) == set(path_scn.base.simplices())
 
     def test_incompatible_marginals_detected(self, path_scn):
         model = model_of(path_scn, {

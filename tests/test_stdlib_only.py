@@ -1,6 +1,7 @@
 """The runtime depends on the standard library alone, as the README says:
 every import in src/ctxlib is relative, of ctxlib itself, or of a standard
-library module."""
+library module.  Every module also parses as Python 3.10, the oldest
+version that pyproject.toml allows."""
 
 import ast
 import sys
@@ -28,3 +29,11 @@ def test_every_import_is_ctxlib_or_stdlib():
                for root in imported_roots(path)
                if root != "ctxlib" and root not in sys.stdlib_module_names}
     assert outside == set()
+
+
+def test_every_module_parses_as_python_3_10():
+    """No module uses syntax newer than 3.10.  Calls that the standard
+    library gained after 3.10 are not caught."""
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=(3, 10))
