@@ -170,11 +170,9 @@ def cmd_tensor(args):
 
 
 def cmd_sections(args):
-    from .events import global_sections
-    scn = load_scenario(args.input)
-    secs = global_sections(scn, cap=args.cap)
-    _emit({"count": len(secs), "sections": [s.key() for s in secs]},
-          args.output)
+    from .events import section_join
+    keys, _, _ = section_join(load_scenario(args.input), cap=args.cap)
+    _emit({"count": len(keys), "sections": keys}, args.output)
     return 0
 
 
@@ -250,7 +248,6 @@ def cmd_check(args):
 
 def cmd_verify_certificate(args):
     from .dist import Dist, rat
-    from .events import global_sections
     from .solve import noncontextuality_lp, verify_certificate, verify_witness
     scn = load_scenario(args.scenario)
     model = load_model(args.model, scn)
@@ -268,8 +265,7 @@ def cmd_verify_certificate(args):
             raise DomainError("file %s: witness must map section keys to "
                               "weights" % args.input)
         q = Dist({k: rat(v) for k, v in w.items()})
-    model.derived()             # the compatibility check that check runs
-    prob = noncontextuality_lp(scn, model, global_sections(scn, cap=args.cap))
+    prob, _ = noncontextuality_lp(scn, model, cap=args.cap)
     if contextual:
         ok = verify_certificate(prob, y)
     else:

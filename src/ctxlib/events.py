@@ -8,7 +8,7 @@ restrictions are composites, with path independence checked by validation.
 
 from collections.abc import Mapping
 from itertools import product
-from operator import add
+from operator import add, itemgetter
 
 from .complexes import (SimplicialComplex, identity_relation, kleisli_compose,
                         pair_name, project_simplex, simplex_lists, skey,
@@ -368,9 +368,10 @@ def tensor_event(f1, f2):
 
 
 class GlobalSection:
-    """A vertex assignment together with its outcome at every maximal
-    simplex; at any other simplex the outcome is restricted on demand from
-    the first maximal simplex above it."""
+    """A vertex assignment with its outcome at every maximal simplex, and at
+    any other simplex restricted on demand from the first maximal one above.
+    Built only by global_sections and on a witness's support: a check keeps
+    its sections as section_join's tuples."""
 
     __slots__ = ("assignment", "values", "scn")
 
@@ -384,52 +385,73 @@ class GlobalSection:
         if sigma in self.values:
             return self.values[sigma]
         for m in self.scn.base.maximal:
-            if sigma <= m:
+            if sigma and sigma <= m:
                 return self.scn.restrict(m, sigma, self.values[m])
-        raise DomainError("%s is not a simplex of the base" % skey(sigma))
+        raise DomainError("%r is not a simplex of the base" % skey(sigma))
 
     def key(self):
         return ";".join("%s=%s" % (x, self.assignment[x])
                         for x in sorted(self.assignment))
 
 
-def global_sections(scn, cap=10 ** 6):
-    """All vertex assignments lifting at every maximal simplex, by key; two
-    sections with one key are a DomainError.
+def _picker(idx):
+    """The function taking a tuple to the tuple of its entries at idx."""
+    if len(idx) == 1:
+        return lambda t, _i=idx[0]: (t[_i],)
+    return itemgetter(*idx) if idx else lambda t: ()
 
-    A breadth-first join: all partial sections have fixed the same vertices,
-    and each is extended only by the outcomes of the next maximal simplex
-    that agree there.  cap bounds the partial sections at every level."""
-    pos = {}                    # vertex -> its place in each value tuple
-    partials = [((), ())]       # (values at the fixed vertices, outcomes)
+
+def section_join(scn, cap=10 ** 6):
+    """The global sections in key order, as (keys, outcomes, section):
+    outcomes[t][j] is the j-th one's outcome at the t-th maximal simplex, and
+    section(j) builds its GlobalSection.  A breadth-first join of vertex value
+    tuples, each extended by the agreeing outcomes of the next maximal
+    simplex; cap bounds the partial sections at every level.  Each key is
+    joined once from x=v fragments; a key shared by two is a DomainError."""
+    pos, partials = {}, [()]    # pos: vertex -> its place in each tuple
     for m in scn.base.maximal:
-        verts = sorted(m)
+        verts, index = sorted(m), scn.profile_index(m)
         old = [i for i, x in enumerate(verts) if x in pos]
-        new = [i for i, x in enumerate(verts) if x not in pos]
+        fixed = _picker(old)
+        new = _picker([i for i, x in enumerate(verts) if x not in pos])
         extend = {}
-        for profile, s in scn.profile_index(m).items():
-            extend.setdefault(tuple(profile[i] for i in old), []).append(
-                (tuple(profile[i] for i in new), s))
-        at = [pos[verts[i]] for i in old]
+        for profile in index:
+            extend.setdefault(fixed(profile), []).append(new(profile))
+        at = _picker([pos[verts[i]] for i in old])
         nxt = []
-        for values, chosen in partials:
-            for more, s in extend.get(tuple(values[j] for j in at), ()):
-                nxt.append((values + more, chosen + (s,)))
+        for values in partials:
+            for more in extend.get(at(values), ()):
+                nxt.append(values + more)
             if len(nxt) > cap:
                 raise ResourceLimitError(
                     "more than %d partial sections" % cap, cap=cap,
                     estimate=len(nxt), stage="global_sections")
-        for i in new:
-            pos[verts[i]] = len(pos)
+        for x in verts:
+            pos.setdefault(x, len(pos))
         partials = nxt
-    out = [GlobalSection(zip(pos, values),
-                         dict(zip(scn.base.maximal, chosen)), scn)
-           for values, chosen in partials]
-    bykey = {s.key(): s for s in out}
-    if len(bykey) < len(out):
-        shared = next(s.key() for s in out if bykey[s.key()] is not s)
+    cols = {x: list(map(itemgetter(p), partials)) for x, p in pos.items()}
+    frags = [map({v: "%s=%s" % (x, v) for v in scn.sets[frozenset([x])]}
+                 .__getitem__, cols[x]) for x in sorted(pos)]
+    # no vertices leaves one section, keyed ""
+    keys = list(map(";".join, zip(*frags))) or [""] * len(partials)
+    if len(set(keys)) < len(keys):
+        last = dict(zip(keys, range(len(keys))))
+        shared = next(k for j, k in enumerate(keys) if last[k] != j)
         raise DomainError("two global sections share the key %r" % shared)
-    return [bykey[k] for k in sorted(bykey)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    cols = {x: list(map(col.__getitem__, order)) for x, col in cols.items()}
+    maxs = scn.base.maximal
+    outcomes = [list(map(scn.profile_index(m).__getitem__,
+                         zip(*[cols[x] for x in sorted(m)]))) for m in maxs]
+    return list(map(keys.__getitem__, order)), outcomes, lambda j: \
+        GlobalSection(zip(pos, partials[order[j]]),
+                      {m: o[j] for m, o in zip(maxs, outcomes)}, scn)
+
+
+def global_sections(scn, cap=10 ** 6):
+    """All global sections as GlobalSection objects, in key order."""
+    keys, _, section = section_join(scn, cap)
+    return list(map(section, range(len(keys))))
 
 
 # ---------------------------------------------------------------------------

@@ -14,43 +14,22 @@ from math import gcd, lcm
 from .complexes import simplex_from_key, skey
 from .dist import ONE, ZERO, Dist, mixture, pushforward, rat, rat_str
 from .errors import DomainError, PreconditionError
-from .events import global_sections
-
-
-def _exact(v):
-    return v if type(v) in (Fraction, int, bool) else rat(v)
+from .events import section_join
 
 
 _BLAND_AFTER = 50   # degenerate pivots in a row before Bland's rule
 
 
 class LPProblem:
-    """Equality constraints A x = b over nonnegative rational variables,
-    each row of A kept as its support and its nonzero values there."""
+    """Equality constraints A x = b over nonnegative rational variables, one
+    label per column, each row of A kept as its support and its nonzero
+    values there; taken unchecked."""
 
     __slots__ = ("_rows", "b", "columns", "ncols")
 
-    def __init__(self, A, b, columns=None):
-        A = [[_exact(v) for v in row] for row in A]
-        self.b = [_exact(v) for v in b]
-        if len(A) != len(self.b):
-            raise DomainError("matrix and right-hand side sizes differ")
-        if len({len(row) for row in A}) > 1:
-            raise DomainError("ragged constraint matrix")
-        self.columns = list(columns) if columns is not None else None
-        if self.columns is not None and A and len(self.columns) != len(A[0]):
-            raise DomainError("column label count mismatch")
-        self.ncols = len(A[0]) if A else len(self.columns or ())
-        self._rows = [([j for j, v in enumerate(row) if v],
-                       [v for v in row if v]) for row in A]
-
-    @classmethod
-    def _sparse(cls, rows, b, columns):
-        """The system of (support, values) rows, taken unchecked."""
-        prob = cls.__new__(cls)
-        prob._rows, prob.b, prob.columns = rows, b, columns
-        prob.ncols = len(columns)
-        return prob
+    def __init__(self, rows, b, columns):
+        self._rows, self.b, self.columns = rows, b, columns
+        self.ncols = len(columns)
 
     @property
     def A(self):
@@ -91,13 +70,16 @@ def lp_feasible(prob):
     m, n = len(prob.b), prob.ncols
     if m == 0:
         return "feasible", [ZERO] * n
-    scale = lcm(*{v.denominator for _, values in prob._rows for v in values})
     sign = [1 if v >= 0 else -1 for v in prob.b]
-    C = [[s * v.numerator * (scale // v.denominator) for v in values]
-         for s, (_, values) in zip(sign, prob._rows)]
-    colrows, colvals = [[] for _ in range(n)], [[] for _ in range(n)]
-    for k, ((support, _), cs) in enumerate(zip(prob._rows, C)):
-        for j, c in zip(support, cs):
+    # a 0/1 system needs no rescale: its row k of C is sign[k] throughout
+    unit = all(values.count(1) == len(values) for _, values in prob._rows)
+    scale = 1 if unit else \
+        lcm(*{v.denominator for _, values in prob._rows for v in values})
+    C, colrows, colvals = [], [[] for _ in range(n)], [[] for _ in range(n)]
+    for k, (s, (support, values)) in enumerate(zip(sign, prob._rows)):
+        C.append([s] * len(values) if unit else
+                 [s * v.numerator * (scale // v.denominator) for v in values])
+        for j, c in zip(support, C[k]):
             colrows[j].append(k)
             colvals[j].append(c)
     dens = [v.denominator for v in prob.b]
@@ -255,7 +237,10 @@ class EmpiricalModel:
         return self._derived
 
     def at(self, sigma):
-        return self.derived()[frozenset(sigma)]
+        p = self.derived().get(frozenset(sigma))
+        if p is None:
+            raise DomainError("%r is not a simplex of the base" % skey(sigma))
+        return p
 
     def __eq__(self, other):
         return (isinstance(other, EmpiricalModel) and self.scn == other.scn
@@ -328,7 +313,8 @@ def push_empirical(mor, model):
 
 
 class Verdict:
-    """Outcome of the feasibility decision, with re-checkable evidence."""
+    """Outcome of the feasibility decision, with re-checkable evidence;
+    sections are built for the witness support only."""
 
     __slots__ = ("contextual", "witness", "certificate", "problem",
                  "sections")
@@ -338,7 +324,7 @@ class Verdict:
         self.witness = witness            # Dist over section keys, or None
         self.certificate = certificate    # list of Fractions, or None
         self.problem = problem
-        self.sections = sections          # the LP's variables, in order
+        self.sections = sections          # {key: section}, or None
 
     @property
     def section_keys(self):
@@ -354,53 +340,54 @@ class Verdict:
                             for k, w in self.witness.items()}}
 
 
-def _decide(prob, secs):
-    """Solve the LP over the sections secs and re-check the answer."""
+def _decide(prob, section):
+    """Solve the LP and re-check the answer; section(j) builds the section
+    of column j, called on the witness support only."""
     status, data = lp_feasible(prob)
     if status == "infeasible":
         if not verify_certificate(prob, data):
             raise DomainError("solver produced a non-verifying certificate")
-        return Verdict(True, None, data, prob, secs)
+        return Verdict(True, None, data, prob, None)
     if not verify_witness(prob, data):
         raise DomainError("solver produced a non-verifying witness")
-    support = [(k, w) for k, w in zip(prob.columns, data) if w > 0]
+    support = [j for j, w in enumerate(data) if w > 0]
     if not support:   # zero-section systems are caught as infeasible above
         raise DomainError("feasible solution with empty support")
-    return Verdict(False, Dist(support), None, prob, secs)
+    return Verdict(False, Dist([(prob.columns[j], data[j]) for j in support]),
+                   None, prob, {prob.columns[j]: section(j) for j in support})
 
 
-def _marginal_lp(secs, sites):
-    """Weights over the sections secs that sum to one and reproduce a given
-    marginal at every site.  sites yields (values, outcomes, p): the value of
-    each section at the site, the site's outcomes in row order, and the
-    marginal there."""
-    n = len(secs)
-    rows, b = [(list(range(n)), [1] * n)], [ONE]
+def _marginal_lp(keys, sites):
+    """Weights over the sections named keys that sum to one and reproduce a
+    given marginal at every site.  sites yields (values, outcomes, p): the
+    value of each section at the site, the site's outcomes in row order, and
+    the marginal there."""
+    rows, b = [(list(range(len(keys))), [1] * len(keys))], [ONE]
     for values, outcomes, p in sites:
-        groups = {}
+        groups = {o: [] for o in outcomes}
         for j, v in enumerate(values):
-            groups.setdefault(v, []).append(j)
-        for o in outcomes:
-            support = groups.get(o, [])
-            rows.append((support, [1] * len(support)))
-            b.append(p(o))
-    return LPProblem._sparse(rows, b, [s.key() for s in secs])
+            groups[v].append(j)
+        rows += [(groups[o], [1] * len(groups[o])) for o in outcomes]
+        b += map(p, outcomes)
+    return LPProblem(rows, b, keys)
 
 
-def noncontextuality_lp(scn, model, secs):
-    """Weights over the global sections secs that sum to one and whose
-    mixture of deterministic models reproduces the model on every maximal
-    simplex."""
-    return _marginal_lp(secs, (([s.values[m] for s in secs], scn.sets[m],
-                                model.dists[m]) for m in scn.base.maximal))
+def noncontextuality_lp(scn, model, cap=10 ** 6):
+    """Weights over the global sections, keys as columns, that sum to one
+    and whose mixture of deterministic models reproduces the model (which
+    must be compatible) on every maximal simplex; with section(j), the
+    GlobalSection of column j (see section_join)."""
+    model.derived()
+    keys, outcomes, section = section_join(scn, cap)
+    maxs = scn.base.maximal
+    return _marginal_lp(keys, zip(outcomes, (scn.sets[m] for m in maxs),
+                                  (model.dists[m] for m in maxs))), section
 
 
 def check_contextuality(scn, model, cap=10 ** 6):
     """Decide whether a model extends to a global distribution; raises when
     it is not compatible."""
-    model.derived()
-    secs = global_sections(scn, cap=cap)
-    return _decide(noncontextuality_lp(scn, model, secs), secs)
+    return _decide(*noncontextuality_lp(scn, model, cap))
 
 
 def check_contextuality_simplicial(fmap, sd, cap=10 ** 6):
@@ -419,7 +406,8 @@ def check_contextuality_simplicial(fmap, sd, cap=10 ** 6):
     n = fmap.target.d
     sites = (([s(n, x) for s in secs], fmap.fiber(n, x), sd[(n, x)])
              for x in fmap.target.simp[n])
-    return _decide(_marginal_lp(secs, sites), secs)
+    return _decide(_marginal_lp([s.key() for s in secs], sites),
+                   secs.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +461,5 @@ def decompose_noncontextual(mspace, sd, cap=10 ** 6):
         err.certificate = verdict.certificate
         err.problem = verdict.problem
         raise err
-    secs = dict(zip(verdict.section_keys, verdict.sections))
-    out = []
-    for key, w in verdict.witness.items():
-        out.append((w, zeta_inverse(mspace, secs[key])))
-    return out
+    return [(w, zeta_inverse(mspace, verdict.sections[key]))
+            for key, w in verdict.witness.items()]

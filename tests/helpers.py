@@ -104,6 +104,15 @@ def in_hull(target, vertices):
     return False
 
 
+def dense_lp(A, b, columns=None):
+    """The LPProblem of the dense system A x = b, its columns labelled
+    0, 1, ... unless columns are given."""
+    n = len(A[0]) if A else len(columns or ())
+    return LPProblem([([j for j, v in enumerate(row) if v],
+                       [v for v in row if v]) for row in A], list(b),
+                     list(range(n)) if columns is None else list(columns))
+
+
 def _integer_rows(prob):
     """Row i of [A | b] as (nums, den, support): ints over a positive
     denominator, and the columns where A is nonzero."""
@@ -591,7 +600,7 @@ def every_degree_lp(fmap, sd):
             for o in fmap.fiber(n, x):
                 A.append([ONE if s(n, x) == o else ZERO for s in secs])
                 b.append(sd[(n, x)](o))
-    prob = LPProblem(A, b, columns=[s.key() for s in secs])
+    prob = dense_lp(A, b, columns=[s.key() for s in secs])
     return (prob,) + lp_feasible_fraction(prob)
 
 

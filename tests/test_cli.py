@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -369,7 +371,45 @@ class TestMap:
         assert capsys.readouterr().out == golden.read_text()
 
 
+def bell_3x3x2_payloads(tmp_path):
+    """The 3x3x2 Bell scenario and two models on it, built without ctxlib:
+    a PR-type model, correlated on every context but a0,b0, and a mixture
+    that is uniform over the 64 vertex assignments with 1/6 more on four."""
+    contexts = [["a%d" % i, "b%d" % j] for i in range(3) for j in range(3)]
+    verts = ["a0", "a1", "a2", "b0", "b1", "b2"]
+    scenario = {"kind": "standard", "contexts": contexts,
+                "outcomes": {x: ["0", "1"] for x in verts}}
+    pr = {"%s,%s" % (a, b): {"0,1": "1/2", "1,0": "1/2"} if (a, b) == (
+        "a0", "b0") else {"0,0": "1/2", "1,1": "1/2"} for a, b in contexts}
+    weights = [Fraction(1, 192)] * 64
+    for k in (3, 17, 40, 61):
+        weights[k] += Fraction(1, 6)
+    mix = {}
+    for w, values in zip(weights, product("01", repeat=6)):
+        at = dict(zip(verts, values))
+        for a, b in contexts:
+            table = mix.setdefault("%s,%s" % (a, b), {})
+            o = "%s,%s" % (at[a], at[b])
+            table[o] = table.get(o, 0) + w
+    mix = {c: {o: str(w) for o, w in t.items()} for c, t in mix.items()}
+    return (write(tmp_path, "bell.json", scenario),
+            write(tmp_path, "pr.json", {"kind": "model", "distributions": pr}),
+            write(tmp_path, "mix.json", {"kind": "model",
+                                         "distributions": mix}))
+
+
 class TestCheckAndVerify:
+    @pytest.mark.parametrize("model, code, golden", [
+        (1, 2, "check_pr_3x3x2.json"), (2, 0, "check_mix_3x3x2.json")],
+        ids=["pr-certificate", "mixture-witness"])
+    def test_check_matches_golden_output(self, capsys, tmp_path, model,
+                                         code, golden):
+        """The certificate and the witness pin the simplex's pivot path."""
+        paths = bell_3x3x2_payloads(tmp_path)
+        assert main(["check", "--scenario", paths[0],
+                     "--model", paths[model]]) == code
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
     def test_model_without_scenario_is_invalid_input(self, capsys,
                                                      pr_model):
         assert main(["validate", pr_model]) == 1

@@ -192,6 +192,17 @@ class TestSections:
         with pytest.raises(DomainError):
             sec.value_at({"a1", "c1"})
 
+    @pytest.mark.parametrize("sigma, name", [(set(), "''"),
+                                             ({"a", "c"}, "'a,c'")],
+                             ids=["empty", "non-edge"])
+    def test_value_at_a_non_simplex_is_a_domain_error(self, sigma, name):
+        """On the path a-b-c neither the empty set nor {a, c} is a simplex;
+        the error names it, rather than a KeyError from the tables."""
+        sec = global_sections(event_presheaf(standard([["a", "b"],
+                                                       ["b", "c"]])))[0]
+        with pytest.raises(DomainError, match="%s is not a simplex" % name):
+            sec.value_at(sigma)
+
     def test_value_at_every_simplex_is_the_assignment_profile(
             self, chsh_scn, triangle_scn, tensor_path_scn):
         r = make_rng(29)

@@ -16,11 +16,12 @@ from ctxlib import solve, sset
 from ctxlib.bundles import BundleScenario, to_event
 from ctxlib.complexes import SimplicialComplex, skey
 from ctxlib.dist import Dist, delta, mixture, pushforward, rat_str
-from ctxlib.errors import DomainError, PreconditionError
-from ctxlib.events import elements, element_name, event_presheaf, global_sections
-from ctxlib.rand import make_rng, rand_dist, rand_path_model
-from ctxlib.solve import (EmpiricalModel, LPProblem, Verdict,
-                          check_contextuality, check_contextuality_simplicial,
+from ctxlib.errors import DomainError, PreconditionError, ResourceLimitError
+from ctxlib.events import (EventScenario, elements, element_name,
+                           event_presheaf, global_sections)
+from ctxlib.rand import make_rng, rand_dist, rand_event, rand_path_model
+from ctxlib.solve import (EmpiricalModel, Verdict, check_contextuality,
+                          check_contextuality_simplicial,
                           decompose_noncontextual, lp_feasible,
                           noncontextuality_lp, push_empirical,
                           simplicial_of_empirical, theta_event,
@@ -31,7 +32,8 @@ from ctxlib.sset import (apply_operator, enumerate_det_morphisms,
                          sections, theta_simplicial, zeta,
                          SimplicialDistribution,
                          validate_simplicial_distribution)
-from helpers import (coordinates, every_degree_lp, in_hull, lp_feasible_bland,
+from helpers import (coordinates, dense_lp, every_degree_lp,
+                     global_sections_filtered, in_hull, lp_feasible_bland,
                      lp_feasible_fraction, lp_feasible_tableau,
                      marginal_rows_dense, model_vector,
                      verify_certificate_fraction, verify_witness_fraction)
@@ -41,38 +43,38 @@ F = Fraction
 
 class TestLP:
     def test_trivial_feasible(self):
-        prob = LPProblem([[1]], [1])
+        prob = dense_lp([[1]], [1])
         status, x = lp_feasible(prob)
         assert status == "feasible" and x == [F(1)]
         assert verify_witness(prob, x)
 
     def test_trivial_infeasible(self):
-        prob = LPProblem([[1]], [-1])
+        prob = dense_lp([[1]], [-1])
         status, y = lp_feasible(prob)
         assert status == "infeasible"
         assert verify_certificate(prob, y)
 
     def test_zero_row_infeasible(self):
-        prob = LPProblem([[0]], [1])
+        prob = dense_lp([[0]], [1])
         status, y = lp_feasible(prob)
         assert status == "infeasible" and verify_certificate(prob, y)
 
     def test_empty_system_feasible(self):
-        status, x = lp_feasible(LPProblem([], [], columns=[]))
+        status, x = lp_feasible(dense_lp([], [], columns=[]))
         assert status == "feasible" and x == []
 
     def test_system_without_rows_keeps_its_columns(self):
-        prob = LPProblem([], [], columns=["p", "q"])
+        prob = dense_lp([], [], columns=["p", "q"])
         assert prob.ncols == 2 and prob.A == []
         assert lp_feasible(prob) == ("feasible", [F(0), F(0)])
         assert verify_witness(prob, [F(0), F(0)])
 
     def test_certificate_rejects_wrong_length(self):
-        prob = LPProblem([[1]], [-1])
+        prob = dense_lp([[1]], [-1])
         assert not verify_certificate(prob, [F(-1), F(0)])
 
     def test_witness_rejects_negative(self):
-        prob = LPProblem([[1]], [1])
+        prob = dense_lp([[1]], [1])
         assert not verify_witness(prob, [F(-1)])
 
     def test_random_systems_verify(self):
@@ -90,7 +92,7 @@ class TestLP:
             else:
                 b = [F(r.randint(-3, 3)) for _ in range(m)]
                 planted = False
-            prob = LPProblem(A, b)
+            prob = dense_lp(A, b)
             status, data = lp_feasible(prob)
             if status == "feasible":
                 assert verify_witness(prob, data)
@@ -117,7 +119,7 @@ def small_systems(draw):
         b = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in A]
     else:
         b = [draw(ENTRY) for _ in range(m)]
-    return LPProblem(A, b)
+    return dense_lp(A, b)
 
 
 def sparse_system(r):
@@ -133,7 +135,7 @@ def sparse_system(r):
         b = [sum(a * x for a, x in zip(row, x0)) for row in A]
     else:
         b = [r.choice((0, 1, 1, 2, 3, -1, F(1, 3))) for _ in range(m)]
-    return LPProblem(A, b)
+    return dense_lp(A, b)
 
 
 def bell_scn(m):
@@ -170,8 +172,8 @@ class TestIntegerTableau:
     (helpers.lp_feasible_bland)."""
 
     @given(small_systems())
-    @example(LPProblem([[F(-2, 3)]], [-2]))
-    @example(LPProblem([[F(1, 2), F(-2, 3), 0], [F(3, 4), 1, F(-5, 6)]],
+    @example(dense_lp([[F(-2, 3)]], [-2]))
+    @example(dense_lp([[F(1, 2), F(-2, 3), 0], [F(3, 4), 1, F(-5, 6)]],
                        [F(1, 3), F(-7, 10)]))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_fraction_tableau(self, prob):
@@ -213,7 +215,7 @@ class TestIntegerTableau:
             b = [sum(a * x for a, x in zip(row, x0)) for row in A]
             if trial % 2:
                 b = [F(r.randint(-2, 2)) for _ in range(m)]
-            prob = LPProblem(A, b)
+            prob = dense_lp(A, b)
             status, data = lp_feasible(prob)
             assert (status, data) == lp_feasible_fraction(prob, bland_after=1)
             if status == "feasible":
@@ -291,7 +293,7 @@ class TestIntegerTableau:
                 (v, p), (1 - v, Dist({o: F(1, 4) for o in scn.sets[c]}))])
                 for c, p in pr.dists.items()})
         secs = global_sections(scn)
-        prob = noncontextuality_lp(scn, model, secs)
+        prob, _ = noncontextuality_lp(scn, model)
         status, data = lp_feasible(prob)
         assert status == ("infeasible" if v and v > F(1, 2) else "feasible")
         assert (status, data) == lp_feasible_tableau(prob)
@@ -381,6 +383,17 @@ class TestEmpiricalModel:
         at_b = model.at({"b1"})
         assert at_b("0") == F(1, 2) and at_b("1") == F(1, 2)
 
+    @pytest.mark.parametrize("sigma, name", [(set(), "''"),
+                                             ({"a", "c"}, "'a,c'")],
+                             ids=["empty", "non-edge"])
+    def test_at_a_non_simplex_is_a_domain_error(self, sigma, name):
+        """On the path a-b-c neither the empty set nor {a, c} is a simplex;
+        the error names it, rather than a KeyError from the derived table."""
+        scn = event_presheaf(standard([["a", "b"], ["b", "c"]]))
+        model = model_of(scn, {"a,b": {"0,0": "1"}, "b,c": {"0,1": "1"}})
+        with pytest.raises(DomainError, match="%s is not a simplex" % name):
+            model.at(sigma)
+
     def test_maximal_distributions_are_kept(self, path_scn):
         """At a maximal simplex the derived distribution is the model's own
         (the identity marginal is not rebuilt)."""
@@ -412,6 +425,69 @@ class TestEmpiricalModel:
             "a1,b1": {"0,0": "1/3", "1,1": "2/3"},
             "b1,c1": {"0,1": "1/3", "1,0": "2/3"}})
         assert EmpiricalModel.from_json(path_scn, model.to_json()) == model
+
+
+def thinned(r, scn):
+    """scn with the outcomes at each maximal simplex of two or more vertices
+    cut to a random nonempty subset, and its restrictions cut to match."""
+    sets = dict(scn.sets)
+    for m in scn.base.maximal:
+        if len(m) > 1:
+            sets[m] = tuple(o for o in sets[m] if r.random() < 0.6) or \
+                sets[m][:1]
+    return EventScenario(scn.base, sets, {
+        (sigma, tau): {o: table[o] for o in sets[sigma]}
+        for (sigma, tau), table in scn.codim1.items()})
+
+
+class TestNoncontextualityLP:
+    def test_matches_the_filtered_join_oracle(self):
+        """On seeded random scenarios and path models, at several caps, a
+        check builds the dense 0/1 system of helpers.marginal_rows_dense
+        over helpers.global_sections_filtered, with the oracle's keys as
+        columns and the model's marginals as right-hand side, or stops at
+        the oracle's resource limit."""
+        r = make_rng(37)
+        triangle = triangle_parity_scn()
+        cases = [(triangle, model_of(triangle, {
+            "x,y": {"0,0": "1/2", "1,1": "1/2"},
+            "y,z": {"0,0": "1/2", "1,1": "1/2"},
+            "x,z": {"0,1": "1/2", "1,0": "1/2"}}))]
+        while len(cases) < 60:
+            scn = rand_event(r, max_contexts=4, max_context_size=3,
+                             max_outcomes=3)
+            if len(cases) % 2:      # not every vertex assignment lifts
+                scn = thinned(r, scn)
+            secs = global_sections_filtered(scn)
+            if secs:
+                cases.append((scn, theta_event(scn, secs, rand_dist(
+                    r, [s.key() for s in secs], 8))))
+        for length in range(1, 6):
+            order = ["p%d" % i for i in range(length + 1)]
+            scn = event_presheaf(standard(
+                list(zip(order, order[1:])),
+                [str(k) for k in range(r.randint(2, 3))]))
+            cases.append((scn, EmpiricalModel(
+                scn, rand_path_model(r, scn, order))))
+        limits = 0
+        for scn, model in cases:
+            for cap in (1, 3, 10, 50, 10 ** 6):
+                try:
+                    secs = global_sections_filtered(scn, cap=cap)
+                except ResourceLimitError as want:
+                    with pytest.raises(ResourceLimitError) as got:
+                        check_contextuality(scn, model, cap=cap)
+                    assert (got.value.stage, got.value.estimate) == (
+                        want.stage, want.estimate)
+                    limits += 1
+                    continue
+                prob = check_contextuality(scn, model, cap=cap).problem
+                assert prob.columns == [s.key() for s in secs]
+                assert prob.A == marginal_rows_dense(scn, model, secs)
+                assert prob.b == [1] + [model.dists[m](o)
+                                        for m in scn.base.maximal
+                                        for o in scn.sets[m]]
+        assert 0 < limits < 5 * len(cases)
 
 
 class TestThetaEvent:
