@@ -407,7 +407,11 @@ def section_join(scn, cap=10 ** 6):
     section(j) builds its GlobalSection.  A breadth-first join of vertex value
     tuples, each extended by the agreeing outcomes of the next maximal
     simplex; cap bounds the partial sections at every level.  Each key is
-    joined once from x=v fragments; a key shared by two is a DomainError."""
+    joined once from x=v fragments; a key shared by two is a DomainError, as
+    is a simplex with two outcomes of the same vertex values (locality)."""
+    for sigma in scn.base.simplices():
+        if len(scn.profile_index(sigma)) < len(scn.sets[sigma]):
+            raise DomainError("locality fails at %s" % skey(sigma))
     pos, partials = {}, [()]    # pos: vertex -> its place in each tuple
     for m in scn.base.maximal:
         verts, index = sorted(m), scn.profile_index(m)

